@@ -42,9 +42,6 @@ class ChannelAttention(Module):
         gate = (self._mlp(avg) + self._mlp(mx)).sigmoid()
         return gate.reshape((n, c, 1, 1))
 
-    def param_count(self):
-        return self.squeeze.param_count() + self.excite.param_count()
-
 
 class SpatialAttention(Module):
     """Per-location sigmoid gate from cross-channel mean/max maps, [N,1,H,W].
@@ -85,16 +82,6 @@ class SpatialAttention(Module):
             pre = self.pointwise(self.depthwise(desc))
         return pre.sigmoid()
 
-    def param_count(self):
-        if self.variant == "standard":
-            return self.conv.param_count()
-        return self.depthwise.param_count() + self.pointwise.param_count()
-
-
-def improved_spatial_attention(rng, kernel=7, dilation=2, dtype=np.float32):
-    return SpatialAttention(rng, kernel=kernel, dilation=dilation,
-                            variant="improved", dtype=dtype)
-
 
 class CBAM(Module):
     """Sequential channel-then-spatial multiplicative gating.
@@ -109,7 +96,8 @@ class CBAM(Module):
         self.improved = bool(improved)
         self.channel = ChannelAttention(channels, reduction_ratio, rng, dtype)
         if improved:
-            self.spatial = improved_spatial_attention(rng, kernel=spatial_kernel, dtype=dtype)
+            self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dilation=2,
+                                            variant="improved", dtype=dtype)
         else:
             self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dtype=dtype)
         self.bypass = False
@@ -132,9 +120,6 @@ class CBAM(Module):
         self.last_channel_gate = cg.data
         self.last_spatial_gate = sg.data
         return x
-
-    def param_count(self):
-        return self.channel.param_count() + self.spatial.param_count()
 
 
 def set_attention_bypass(model, on):

@@ -114,18 +114,24 @@ def _emit_report(out_dir, report, prefix="report"):
         _write(os.path.join(out_dir, "confusion.csv"), confusion_csv(report))
 
 
-def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix=""):
+def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
+               resume_state=None):
+    """Fit one variant (from scratch or from ``resume_state``), then report
+    the best-on-validation model on the test split."""
     model_config = cfg.model_config(variant)
-    norm_mean, norm_std = _resolve_norm(cfg, train_set.samples)
+    if resume_state is None:
+        norm_mean, norm_std = _resolve_norm(cfg, train_set.samples)
+    else:
+        norm_mean, norm_std = resume_state.norm_mean, resume_state.norm_std
     spec = cfg.run_spec(norm_mean, norm_std)
-    spec.resize_to = model_config.input_size
 
     def log(line):
         print(f"{log_prefix}{line}")
 
     print(f"{log_prefix}{len(train_set)} train / {len(test_set)} test samples; "
           f"variant={variant}")
-    state, best_state, _ = fit(model_config, train_set, spec, out_dir=out_dir, log_fn=log)
+    state, best_state, _ = fit(model_config, train_set, spec, out_dir=out_dir,
+                               resume_state=resume_state, log_fn=log)
     chosen = best_state if best_state is not None else state
     report, test_loss = evaluate(chosen.model, test_set.samples, spec, test_set.classes)
     _emit_report(out_dir, report)
@@ -155,20 +161,7 @@ def cmd_train(args):
     if args.resume:
         resume_state = checkpoint_load(args.resume,
                                        expected_config=cfg.model_config())
-    if resume_state is not None:
-        model_config = cfg.model_config()
-        spec = cfg.run_spec(resume_state.norm_mean, resume_state.norm_std)
-        spec.resize_to = model_config.input_size
-        state, best_state, _ = fit(model_config, train_set, spec,
-                                   out_dir=out_dir, resume_state=resume_state,
-                                   log_fn=print)
-        chosen = best_state if best_state is not None else state
-        report, _ = evaluate(chosen.model, test_set.samples, spec, test_set.classes)
-        _emit_report(out_dir, report)
-        _write(os.path.join(out_dir, "model_layers.txt"), layer_spec_dump(chosen.model))
-        print(f"test accuracy {report.accuracy:.4f}")
-    else:
-        _train_one(cfg, cfg.variant, train_set, test_set, out_dir)
+    _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_state=resume_state)
     return 0
 
 

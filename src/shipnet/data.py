@@ -195,12 +195,6 @@ def normalize(img, mean, std):
     return (img - mean) / std
 
 
-def denormalize(img, mean, std):
-    mean = np.asarray(mean, dtype=np.float32).reshape(3, 1, 1)
-    std = np.asarray(std, dtype=np.float32).reshape(3, 1, 1)
-    return img * std + mean
-
-
 def dataset_mean_std(samples):
     """Per-channel mean/std over a sample list (loads images)."""
     total = np.zeros(3, dtype=np.float64)

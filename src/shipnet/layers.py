@@ -50,6 +50,10 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
+    def param_count(self):
+        """Learnable scalars in this module and its children."""
+        return sum(p.size for p in self.parameters())
+
     def named_buffers(self, prefix=""):
         for name, value in vars(self).items():
             if isinstance(value, Tensor) and not value.requires_grad:
@@ -273,9 +277,6 @@ class Conv2d(Module):
         self.last_io = (tuple(x.shape), tuple(out.shape))
         return out
 
-    def param_count(self):
-        return self.spec.weight_count()
-
 
 class DepthwiseSeparableConv2d(Module):
     """Per-channel spatial conv followed by a 1x1 pointwise mixing conv."""
@@ -292,9 +293,6 @@ class DepthwiseSeparableConv2d(Module):
 
     def forward(self, x):
         return self.pointwise(self.depthwise(x))
-
-    def param_count(self):
-        return self.depthwise.param_count() + self.pointwise.param_count()
 
 
 # ---- batch normalization ----------------------------------------------------
@@ -459,15 +457,6 @@ class Linear(Module):
         self.last_io = (tuple(x.shape), tuple(out.shape))
         return out
 
-    def param_count(self):
-        n = self.in_features * self.out_features
-        return n + (self.out_features if self.bias is not None else 0)
-
-
-def linear(x, weight, bias=None):
-    out = T.matmul(x, weight)
-    return out + bias if bias is not None else out
-
 
 # ---- loss -------------------------------------------------------------------
 
@@ -499,10 +488,3 @@ def cross_entropy(logits, targets):
         return ((scale * probs).astype(logits.dtype),)
 
     return T.custom_op(np.asarray(loss, dtype=logits.dtype), (logits,), vjp)
-
-
-def softmax_probs(logits_data):
-    """Plain softmax on a [N, K] array (metrics use, not differentiable)."""
-    shifted = logits_data - logits_data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)

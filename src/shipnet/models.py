@@ -77,6 +77,8 @@ class ModelConfig:
         for s in self.cbam_stages + tuple(self.dwsep_stages):
             if s not in STAGES:
                 raise ValueError(f"stage index {s} outside {STAGES}")
+        if self.reduction_ratio < 1:
+            raise ValueError(f"reduction ratio must be >= 1, got {self.reduction_ratio}")
         for stage in STAGES:
             width = self.stage_width(stage)
             if stage in self.cbam_stages and (4 * width) % self.reduction_ratio:
@@ -158,20 +160,23 @@ class ModelConfig:
         def ints(v):
             return tuple(int(x) for x in v.split(",") if x)
 
-        cfg = ModelConfig(
-            variant=kv["variant"],
-            stage_blocks=ints(kv["stage_blocks"]),
-            base_width=int(kv["base_width"]),
-            num_classes=int(kv["num_classes"]),
-            input_size=tuple(int(x) for x in kv["input_size"].split("x")),
-            cbam_stages=ints(kv["cbam_stages"]),
-            reduction_ratio=int(kv["reduction_ratio"]),
-            spatial_kernel=int(kv["spatial_kernel"]),
-            multiscale_fusion=bool(int(kv["multiscale_fusion"])),
-            dwsep_stages=ints(kv["dwsep_stages"]),
-            dilated_stage5=bool(int(kv["dilated_stage5"])),
-            fusion_width=int(kv["fusion_width"]),
-        )
+        try:
+            cfg = ModelConfig(
+                variant=kv["variant"],
+                stage_blocks=ints(kv["stage_blocks"]),
+                base_width=int(kv["base_width"]),
+                num_classes=int(kv["num_classes"]),
+                input_size=tuple(int(x) for x in kv["input_size"].split("x")),
+                cbam_stages=ints(kv["cbam_stages"]),
+                reduction_ratio=int(kv["reduction_ratio"]),
+                spatial_kernel=int(kv["spatial_kernel"]),
+                multiscale_fusion=bool(int(kv["multiscale_fusion"])),
+                dwsep_stages=ints(kv["dwsep_stages"]),
+                dilated_stage5=bool(int(kv["dilated_stage5"])),
+                fusion_width=int(kv["fusion_width"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"model config text has no {exc.args[0]} key") from None
         return cfg.validate()
 
     def attention_free(self):
@@ -354,21 +359,6 @@ def build_model(config, seed, dtype=np.float32):
     return ShipClassifier(config, seed, dtype)
 
 
-def param_count(model):
-    return sum(p.size for p in model.parameters())
-
-
-def param_breakdown(model):
-    """Learnable scalar counts grouped by top-level component."""
-    groups = {}
-    for name, p in model.named_parameters():
-        top = name.split(".", 1)[0]
-        if top.startswith("stem"):
-            top = "stem"
-        groups[top] = groups.get(top, 0) + p.size
-    return groups
-
-
 def parameter_checksum(model):
     import hashlib
     digest = hashlib.sha256()
@@ -399,6 +389,5 @@ def layer_spec_dump(model):
         io = getattr(mod, "last_io", None)
         shape_in = "x".join(str(s) for s in io[0]) if io else "-"
         shape_out = "x".join(str(s) for s in io[1]) if io else "-"
-        params = sum(p.size for _, p in mod.named_parameters())
-        lines.append(f"{name} {kind} {shape_in} {shape_out} {params}")
+        lines.append(f"{name} {kind} {shape_in} {shape_out} {mod.param_count()}")
     return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ accumulates gradients additively into every tensor that requires them.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -96,9 +97,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -552,41 +550,69 @@ def grad_check(f, inputs, eps=1e-5):
     return max_err
 
 
-# ---- binary fixture format --------------------------------------------------
+# ---- tensor records and the fixture format ----------------------------------
+#
+# A tensor record is ``dtype u8, rank u8, extents u64*, little-endian payload``.
+# The CBNT fixture format is magic + version + one record; each entry of the
+# CBCK checkpoint tensor table is a name + one record.
 
 _MAGIC = b"CBNT"
 _VERSION = 1
 _DTYPE_CODE = {"float32": 0, "float64": 1}
-_CODE_DTYPE = {0: "<f4", 1: "<f8"}
+_CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+
+def unpack(fmt, raw, offset):
+    """``struct.unpack_from`` returning (values, next offset); raises
+    ValueError instead of reading past the end of ``raw``."""
+    size = struct.calcsize(fmt)
+    if offset + size > len(raw):
+        raise ValueError(f"truncated: {size} bytes needed at offset {offset}, "
+                         f"{len(raw) - offset} left")
+    return struct.unpack_from(fmt, raw, offset), offset + size
+
+
+def write_record(fh, arr):
+    fh.write(struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODE[arr.dtype.name], arr.ndim, *arr.shape))
+    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+
+
+def read_record(raw, offset):
+    """Decode one record at ``offset`` into a fresh native-order array;
+    returns (array, offset past the payload)."""
+    (code, rank), offset = unpack("<BB", raw, offset)
+    if code not in _CODE_DTYPE:
+        raise ValueError(f"unknown dtype code {code}")
+    dtype = _CODE_DTYPE[code]
+    extents, offset = unpack(f"<{rank}Q", raw, offset)
+    count = math.prod(extents)
+    end = offset + count * dtype.itemsize
+    if end > len(raw):
+        raise ValueError(f"truncated payload: {count} x {dtype.name} needed at offset "
+                         f"{offset}, {len(raw) - offset} bytes left")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(extents)
+    return arr.astype(dtype.newbyteorder("=")), end
 
 
 def save_tensor(path, t):
-    """Write ``magic CBNT, version u16, dtype u8, rank u8, extents u64*, payload``."""
+    """Write ``magic CBNT, version u16`` and one tensor record."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", _VERSION))
-        fh.write(struct.pack("<BB", _DTYPE_CODE[t.dtype.name], t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(np.ascontiguousarray(t.data, dtype=t.dtype.newbyteorder("<")).tobytes())
+        fh.write(_MAGIC + struct.pack("<H", _VERSION))
+        write_record(fh, t.data)
 
 
 def load_tensor(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    code, rank = struct.unpack_from("<BB", raw, 6)
-    if code not in _CODE_DTYPE:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    extents = struct.unpack_from(f"<{rank}Q", raw, 8)
-    offset = 8 + 8 * rank
-    dtype = np.dtype(_CODE_DTYPE[code])
-    n = int(np.prod(extents)) if rank else 1
-    payload = raw[offset : offset + n * dtype.itemsize]
-    if len(payload) != n * dtype.itemsize:
-        raise ValueError(f"{path}: truncated payload")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(extents)
-    return Tensor(arr.astype(dtype.newbyteorder("=")))
+    try:
+        if raw[:4] != _MAGIC:
+            raise ValueError(f"bad magic {raw[:4]!r}")
+        (version,), offset = unpack("<H", raw, 4)
+        if version != _VERSION:
+            raise ValueError(f"unsupported version {version}")
+        arr, offset = read_record(raw, offset)
+        if offset != len(raw):
+            raise ValueError(f"{len(raw) - offset} trailing bytes")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Tensor(arr)

@@ -4,6 +4,7 @@ selection, and evaluation into a metrics report."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -158,7 +159,8 @@ def iter_batches(samples, spec, train, epoch, shuffle):
 
 def train_epoch(model, named_params, samples, adam, spec, epoch):
     """Seeded shuffle; per batch: augment, forward(train), cross-entropy,
-    backward, Adam. Returns (mean loss, accuracy) over the epoch."""
+    backward, Adam. Returns (mean loss, accuracy) over the epoch; a
+    non-finite loss raises RuntimeError before its update is applied."""
     if not samples:
         raise ValueError("empty training set")
     model.train()
@@ -166,14 +168,19 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
     total_loss = 0.0
     correct = 0
     seen = 0
-    for x, y in iter_batches(samples, spec, train=True, epoch=epoch, shuffle=True):
+    batches = iter_batches(samples, spec, train=True, epoch=epoch, shuffle=True)
+    for batch, (x, y) in enumerate(batches):
         logits = model.forward(x)
         loss = cross_entropy(logits, y)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise RuntimeError(f"training diverged: loss {value} at epoch {epoch}, "
+                               f"batch {batch}")
         model.zero_grad()
         loss.backward()
         adam_step(named_params, adam, lr)
         n = len(y)
-        total_loss += loss.item() * n
+        total_loss += value * n
         correct += int((logits.data.argmax(axis=1) == y).sum())
         seen += n
     return total_loss / seen, correct / seen
@@ -202,8 +209,6 @@ def evaluate(model, samples, spec, classes):
 
 _CKPT_MAGIC = b"CBCK"
 _CKPT_VERSION = 1
-_DT_CODE = {"float32": 0, "float64": 1}
-_CODE_DT = {0: "<f4", 1: "<f8"}
 
 
 def _write_block(fh, text):
@@ -213,9 +218,9 @@ def _write_block(fh, text):
 
 
 def _read_block(raw, offset):
-    (n,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    return raw[offset : offset + n].decode(), offset + n
+    (n,), offset = T.unpack("<I", raw, offset)
+    (text,), offset = T.unpack(f"<{n}s", raw, offset)
+    return text.decode(), offset
 
 
 def checkpoint_save(state, path):
@@ -253,78 +258,89 @@ def checkpoint_save(state, path):
         _write_block(fh, meta_text)
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
-            arr = tensors[name]
             raw_name = name.encode()
             fh.write(struct.pack("<H", len(raw_name)))
             fh.write(raw_name)
-            fh.write(struct.pack("<BB", _DT_CODE[arr.dtype.name], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+            T.write_record(fh, tensors[name])
     os.replace(tmp, path)
 
 
 def checkpoint_load(path, expected_config=None):
-    """Rebuilds a TrainState; a config mismatch under ``expected_config``
-    raises before any state is constructed."""
+    """Rebuilds a TrainState. The config (against ``expected_config`` when
+    given), the metadata and the name, shape and dtype of every tensor are
+    checked before any tensor is assigned; a malformed file raises
+    ValueError naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _decode_checkpoint(raw, expected_config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _decode_checkpoint(raw, expected_config):
     if raw[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
+        raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
+    (version,), offset = T.unpack("<H", raw, 4)
     if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    config_text, offset = _read_block(raw, 6)
+        raise ValueError(f"unsupported checkpoint version {version}")
+    config_text, offset = _read_block(raw, offset)
     meta_text, offset = _read_block(raw, offset)
     config = ModelConfig.from_text(config_text)
     if expected_config is not None and expected_config.to_text() != config_text:
-        raise ValueError(f"{path}: checkpoint config does not match the requested model")
-    meta = dict(line.split("=", 1) for line in meta_text.strip().splitlines())
+        raise ValueError("checkpoint config does not match the requested model")
+    meta = dict(line.partition("=")[::2] for line in meta_text.splitlines())
+    try:
+        adam = AdamState(beta1=float(meta["adam_beta1"]), beta2=float(meta["adam_beta2"]),
+                         eps=float(meta["adam_eps"]), t=int(meta["adam_t"]))
+        run = dict(epoch=int(meta["epoch"]), seed=int(meta["seed"]),
+                   best_val_acc=float(meta["best_val_acc"]),
+                   best_epoch=int(meta["best_epoch"]),
+                   norm_mean=tuple(float(v) for v in meta["norm_mean"].split(",")),
+                   norm_std=tuple(float(v) for v in meta["norm_std"].split(",")))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint metadata has no {exc.args[0]} key") from None
 
-    (count,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    (count,), offset = T.unpack("<I", raw, offset)
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode()
-        offset += name_len
-        code, rank = struct.unpack_from("<BB", raw, offset)
-        offset += 2
-        extents = struct.unpack_from(f"<{rank}Q", raw, offset)
-        offset += 8 * rank
-        dtype = np.dtype(_CODE_DT[code])
-        n = int(np.prod(extents)) if rank else 1
-        arr = np.frombuffer(raw, dtype=dtype, count=n, offset=offset)
-        offset += n * dtype.itemsize
-        tensors[name] = np.ascontiguousarray(arr.reshape(extents)).astype(
-            dtype.newbyteorder("="))
+        (name_len,), offset = T.unpack("<H", raw, offset)
+        (name,), offset = T.unpack(f"<{name_len}s", raw, offset)
+        name = name.decode()
+        if name in tensors:
+            raise ValueError(f"tensor {name} stored twice")
+        tensors[name], offset = T.read_record(raw, offset)
+    if offset != len(raw):
+        raise ValueError(f"{len(raw) - offset} trailing bytes after the tensor table")
 
     model = build_model(config, seed=0)
-    expected_names = ({f"param.{n}" for n, _ in model.named_parameters()}
-                      | {f"buffer.{n}" for n, _ in model.named_buffers()})
-    stored_model_names = {n for n in tensors if n.split(".", 1)[0] in ("param", "buffer")}
-    if expected_names != stored_model_names:
-        raise ValueError(f"{path}: tensor table does not match the model "
-                         f"({len(stored_model_names)} stored, {len(expected_names)} expected)")
-    for name, p in model.named_parameters():
-        p.data = tensors[f"param.{name}"].copy()
-    for name, b in model.named_buffers():
-        b.data = tensors[f"buffer.{name}"].copy()
+    params = dict(model.named_parameters())
+    slots = {f"param.{n}": p for n, p in params.items()}
+    slots.update((f"buffer.{n}", b) for n, b in model.named_buffers())
+    missing = set(slots) - set(tensors)
+    if missing:
+        raise ValueError(f"tensor table lacks {len(missing)} of the model's "
+                         f"{len(slots)} tensors, e.g. {min(missing)}")
+    for name, arr in tensors.items():
+        if name in slots:
+            like = slots[name]
+        elif name[:7] in ("adam.m.", "adam.v.") and name[7:] in params:
+            like = params[name[7:]]
+        else:
+            raise ValueError(f"tensor {name} belongs to no model parameter or buffer")
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise ValueError(f"{name} is {arr.dtype.name}{list(arr.shape)}, the model "
+                             f"expects {like.dtype.name}{list(like.shape)}")
+    moments = {"adam.m.": adam.m, "adam.v.": adam.v}
+    for name, arr in tensors.items():
+        if name[:7] in moments:
+            moments[name[:7]][name[7:]] = arr
+    if adam.m.keys() != adam.v.keys():
+        raise ValueError("Adam first and second moments cover different parameters")
 
-    adam = AdamState(beta1=float(meta["adam_beta1"]), beta2=float(meta["adam_beta2"]),
-                     eps=float(meta["adam_eps"]), t=int(meta["adam_t"]))
-    for name in tensors:
-        if name.startswith("adam.m."):
-            adam.m[name[len("adam.m."):]] = tensors[name].copy()
-        elif name.startswith("adam.v."):
-            adam.v[name[len("adam.v."):]] = tensors[name].copy()
-
-    return TrainState(model=model, config=config, adam=adam,
-                      epoch=int(meta["epoch"]), seed=int(meta["seed"]),
-                      best_val_acc=float(meta["best_val_acc"]),
-                      best_epoch=int(meta["best_epoch"]),
-                      norm_mean=tuple(float(v) for v in meta["norm_mean"].split(",")),
-                      norm_std=tuple(float(v) for v in meta["norm_std"].split(",")))
+    for name, t in slots.items():
+        t.data = tensors[name]
+    return TrainState(model=model, config=config, adam=adam, **run)
 
 
 # ---- full regimen -----------------------------------------------------------

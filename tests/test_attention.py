@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from shipnet import tensor as T
-from shipnet.attention import (CBAM, ChannelAttention, SpatialAttention,
-                               improved_spatial_attention, set_attention_bypass)
+from shipnet.attention import CBAM, ChannelAttention, SpatialAttention, set_attention_bypass
 
 from oracles import (naive_channel_attention, naive_improved_spatial_attention,
                      naive_spatial_attention)
@@ -92,7 +91,7 @@ class TestSpatialAttention:
         assert np.max(np.abs(gate.data - ref)) < 1e-6
 
     def test_improved_matches_naive_two_step_oracle(self):
-        mod = improved_spatial_attention(T.make_rng(5), kernel=7, dilation=2)
+        mod = SpatialAttention(T.make_rng(5), kernel=7, dilation=2, variant="improved")
         x = _rand((2, 4, 8, 8), 6)
         gate = mod(T.Tensor(x))
         ref = naive_improved_spatial_attention(
@@ -112,7 +111,7 @@ class TestSpatialAttention:
 
     def test_parameter_counts_and_receptive_span(self):
         standard = SpatialAttention(T.make_rng(0), kernel=7)
-        improved = improved_spatial_attention(T.make_rng(0), kernel=7, dilation=2)
+        improved = SpatialAttention(T.make_rng(0), kernel=7, dilation=2, variant="improved")
         assert standard.param_count() == 2 * 49
         assert improved.param_count() == 2 * 49 + 2 * 1
         # effective receptive span d*(k-1)+1

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shipnet
 from shipnet.cli import main
 from shipnet.data import decode_ppm, read_ppm
 from shipnet.metrics import round2
@@ -194,3 +197,53 @@ class TestGradcheckCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all("PASS" in line for line in lines)
         assert any(line.startswith("conv2d") for line in lines)
+
+
+class TestTrainResume:
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, corpus, capsys):
+        # dataset normalization: the resumed run must take it from the checkpoint
+        args = ["--data", corpus, "--variant", "cbam", "--epochs", "3",
+                "--batch-size", "8", "--lr", "1e-3", "--seed", "5"] + MICRO_SETS[:-2]
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        assert main(["train", "--out", str(full)] + args) == 0
+        assert main(["train", "--out", str(resumed), "--resume",
+                     str(full / "checkpoints" / "epoch_001.ckpt")] + args) == 0
+        last = "epoch_002.ckpt"
+        assert ((resumed / "checkpoints" / last).read_bytes()
+                == (full / "checkpoints" / last).read_bytes())
+        full_log = (full / "epochs.log").read_text().splitlines()
+        assert (resumed / "epochs.log").read_text().splitlines() == [full_log[0], full_log[-1]]
+        out = capsys.readouterr().out
+        assert out.count("36 train / 12 test samples; variant=cbam") == 2
+        assert out.count("(best val epoch") == 2
+
+
+class TestFailureModes:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_1_without_checkpoints(self, tmp_path, corpus, capsys):
+        out = tmp_path / "diverged"
+        code = main(["train", "--data", corpus, "--out", str(out), "--epochs", "3",
+                     "--batch-size", "8", "--lr", "1e12", "--seed", "5"] + MICRO_SETS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged") and "epoch 0, batch" in err
+        assert not [f for f in os.listdir(out / "checkpoints") if f.endswith(".ckpt")]
+
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_truncated_checkpoint_exits_1_without_traceback(self, tmp_path, corpus,
+                                                            trained_run, command):
+        ckpt = tmp_path / "truncated.ckpt"
+        src = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
+        ckpt.write_bytes(open(src, "rb").read()[:300])
+        if command == "eval":
+            args = ["--data", corpus, "--out", str(tmp_path / "e")] + MICRO_SETS
+        else:
+            args = ["--image", os.path.join(corpus, "cargo", "img_00000.ppm"),
+                    "--out", str(tmp_path / "h.ppm")]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shipnet.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "shipnet.cli", command,
+                               "--checkpoint", str(ckpt)] + args,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and str(ckpt) in proc.stderr
+        assert "Traceback" not in proc.stderr

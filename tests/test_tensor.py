@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,3 +284,63 @@ class TestFixtureFormat:
         assert raw[6] == 0                   # float32 code
         assert raw[7] == 1                   # rank
         assert int.from_bytes(raw[8:16], "little") == 2
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.cbnt"
+        T.save_tensor(path, T.from_buffer((2,), [1.0, 2.0]))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            T.load_tensor(path)
+
+    def test_record_codec_shared_layout(self, tmp_path):
+        # a CBNT file is its 6-byte header followed by exactly one record
+        t = T.normal((2, 3), 1.0, T.make_rng(1), dtype=np.float64)
+        path = tmp_path / "t.cbnt"
+        T.save_tensor(path, t)
+        raw = path.read_bytes()
+        arr, end = T.read_record(raw, 6)
+        assert end == len(raw)
+        assert arr.dtype == np.float64 and np.array_equal(arr, t.data)
+        assert arr.flags.writeable and arr.flags.c_contiguous
+
+
+def _fixture_bytes():
+    buf = io.BytesIO()
+    buf.write(b"CBNT\x01\x00")
+    T.write_record(buf, T.normal((2, 3, 4), 1.0, T.make_rng(3)).data)
+    return buf.getvalue()
+
+
+FIXTURE = _fixture_bytes()
+
+
+def _load_or_value_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cbnt"
+    path.write_bytes(raw)
+    try:
+        return T.load_tensor(path)
+    except ValueError:
+        return None
+
+
+class TestFixtureDecoderFuzz:
+    """Mutated CBNT files either load or raise ValueError, nothing else."""
+
+    @given(st.integers(0, len(FIXTURE) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_at_any_byte(self, tmp_path_factory, cut):
+        assert _load_or_value_error(tmp_path_factory, FIXTURE[:cut]) is None
+
+    @given(st.lists(st.tuples(st.integers(0, 31), st.integers(1, 255)), min_size=1,
+                    max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_header_bytes_flipped(self, tmp_path_factory, flips):
+        raw = bytearray(FIXTURE)
+        for pos, mask in flips:
+            raw[pos] ^= mask
+        _load_or_value_error(tmp_path_factory, bytes(raw))
+
+    @given(st.binary(min_size=1, max_size=16))
+    @settings(max_examples=10, deadline=None)
+    def test_appended_bytes(self, tmp_path_factory, extra):
+        assert _load_or_value_error(tmp_path_factory, FIXTURE + extra) is None

@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -352,3 +353,102 @@ class TestWorkers:
         for (x1, y1), (x4, y4) in zip(batches1, batches4):
             assert np.array_equal(x1, x4)
             assert np.array_equal(y1, y4)
+
+
+class TestCheckpointValidation:
+    """A file the fresh model cannot take raises ValueError naming the path."""
+
+    def _saved(self, tmp_path, mutate=None):
+        state = TestCheckpoint()._state()
+        if mutate is not None:
+            mutate(state)
+        path = str(tmp_path / "x.ckpt")
+        TR.checkpoint_save(state, path)
+        return path
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        def mutate(state):
+            state.model.head.weight.data = np.zeros((3, 3), dtype=np.float32)
+        path = self._saved(tmp_path, mutate)
+        with pytest.raises(ValueError, match="param.head.weight"):
+            TR.checkpoint_load(path)
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        def mutate(state):
+            state.model.head.weight.data = state.model.head.weight.data.astype(np.float64)
+        path = self._saved(tmp_path, mutate)
+        with pytest.raises(ValueError, match="float64"):
+            TR.checkpoint_load(path)
+
+    def test_adam_moment_shape_and_name_checked(self, tmp_path):
+        def wrong_shape(state):
+            state.adam.v["head.bias"] = np.zeros(7, dtype=np.float32)
+        with pytest.raises(ValueError, match="adam.v.head.bias"):
+            TR.checkpoint_load(self._saved(tmp_path, wrong_shape))
+
+        def orphan(state):
+            state.adam.m["nowhere"] = np.zeros(1, dtype=np.float32)
+            state.adam.v["nowhere"] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(ValueError, match="adam.m.nowhere"):
+            TR.checkpoint_load(self._saved(tmp_path, orphan))
+
+    def test_missing_metadata_and_config_keys_are_value_errors(self, tmp_path):
+        raw = open(self._saved(tmp_path), "rb").read()
+        for key in (b"\nseed=42\n", b"\nvariant=cbam\n"):
+            assert key in raw
+            # same length, so the block sizes still hold
+            path = tmp_path / "k.ckpt"
+            path.write_bytes(raw.replace(key, b"\n" + b"x" * (len(key) - 2) + b"\n"))
+            with pytest.raises(ValueError, match=str(path)):
+                TR.checkpoint_load(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            TR.checkpoint_load(path)
+
+
+def _checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        TR.checkpoint_save(TestCheckpoint()._state(), path)
+        return open(path, "rb").read()
+
+
+CHECKPOINT = _checkpoint_bytes()
+# magic, version, two text blocks, the table count, then room for a few entries
+HEADER_END = CHECKPOINT.index(b"adam.m.") + 512
+
+
+def _load_or_value_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        return TR.checkpoint_load(str(path))
+    except ValueError:
+        return None
+
+
+class TestCheckpointDecoderFuzz:
+    """Mutated CBCK files either load or raise ValueError, nothing else."""
+
+    @given(st.integers(0, len(CHECKPOINT) - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_at_any_byte(self, tmp_path_factory, cut):
+        assert _load_or_value_error(tmp_path_factory, CHECKPOINT[:cut]) is None
+
+    @given(st.lists(st.tuples(st.integers(0, HEADER_END - 1), st.integers(1, 255)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_header_bytes_flipped(self, tmp_path_factory, flips):
+        raw = bytearray(CHECKPOINT)
+        for pos, mask in flips:
+            raw[pos] ^= mask
+        _load_or_value_error(tmp_path_factory, bytes(raw))
+
+    @given(st.binary(min_size=1, max_size=16))
+    @settings(max_examples=10, deadline=None)
+    def test_appended_bytes(self, tmp_path_factory, extra):
+        assert _load_or_value_error(tmp_path_factory, CHECKPOINT + extra) is None
