@@ -115,13 +115,16 @@ def _emit_report(out_dir, report, prefix="report"):
 
 
 def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
-               resume_state=None):
-    """Fit one variant (from scratch or from ``resume_state``), then report
-    the best-on-validation model on the test split."""
+               resume_path=None):
+    """Fit one variant (from scratch or from the checkpoint at
+    ``resume_path``), then report the best-on-validation model on the test
+    split."""
     model_config = cfg.model_config(variant)
-    if resume_state is None:
+    if resume_path is None:
+        resume_state = None
         norm_mean, norm_std = _resolve_norm(cfg, train_set.samples)
     else:
+        resume_state = checkpoint_load(resume_path, expected_config=model_config)
         norm_mean, norm_std = resume_state.norm_mean, resume_state.norm_std
     spec = cfg.run_spec(norm_mean, norm_std)
 
@@ -132,6 +135,12 @@ def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
           f"variant={variant}")
     state, best_state, _ = fit(model_config, train_set, spec, out_dir=out_dir,
                                resume_state=resume_state, log_fn=log)
+    if best_state is None and resume_path is not None:
+        # the best epoch preceded the resume point: its checkpoint sits
+        # beside the one the run resumed from
+        best_state = checkpoint_load(
+            os.path.join(os.path.dirname(resume_path), f"epoch_{state.best_epoch:03d}.ckpt"),
+            expected_config=model_config)
     chosen = best_state if best_state is not None else state
     report, test_loss = evaluate(chosen.model, test_set.samples, spec, test_set.classes)
     _emit_report(out_dir, report)
@@ -157,11 +166,7 @@ def cmd_train(args):
     _emit_run_metadata(out_dir, cfg)
     ds = _load_dataset(cfg, out_dir)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
-    resume_state = None
-    if args.resume:
-        resume_state = checkpoint_load(args.resume,
-                                       expected_config=cfg.model_config())
-    _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_state=resume_state)
+    _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_path=args.resume)
     return 0
 
 

@@ -1,10 +1,13 @@
 """Neural-network layers over the autodiff core.
 
 Convolution supports stride, zero padding, dilation and groups (cross
-correlation, the usual deep-learning convention). The forward gathers strided
-windows and contracts them with the kernel; the input gradient is scattered
-back through a cached index map. Batch normalization and cross entropy are
-fused ops with hand-written backward rules.
+correlation, the usual deep-learning convention). The forward copies strided
+windows once into a group-major im2col buffer and contracts it with the
+kernel, one matmul per group; the weight and input gradients reuse that
+buffer, and the input gradient is folded back by one strided slice-add per
+kernel tap (col2im). Max pooling is a running maximum over the kernel taps.
+Batch normalization and cross entropy are fused ops with hand-written
+backward rules.
 """
 
 from __future__ import annotations
@@ -161,44 +164,24 @@ def _windows(xp, kernel, stride, dilation, out_hw):
     )
 
 
-_scatter_cache = {}
+def _taps(kernel, stride, dilation, out_hw):
+    # Row-major ((i, j), index) per kernel tap; the index selects the
+    # (N, C, Ho, Wo) positions of the padded input that tap reads.
+    def axis(k, s, d, o):
+        return slice(k * d, k * d + (o - 1) * s + 1, s)
 
-
-def _scatter_index(key, n, c, hp, wp, kernel, stride, dilation, out_hw):
-    # Flat indices into the padded input for every (n, c, ho, wo, kh, kw) tap.
-    cached = _scatter_cache.get(key)
-    if cached is not None:
-        return cached
-    kh, kw = kernel
-    ho, wo = out_hw
-    rows = (np.arange(ho)[:, None] * stride[0] + np.arange(kh)[None, :] * dilation[0])
-    cols = (np.arange(wo)[:, None] * stride[1] + np.arange(kw)[None, :] * dilation[1])
-    # index shape (C, Ho, Wo, kh, kw), per-sample; batch offset applied by caller
-    idx = (np.arange(c)[:, None, None, None, None] * (hp * wp)
-           + rows[None, :, None, :, None] * wp
-           + cols[None, None, :, None, :])
-    idx = idx.astype(np.int64)
-    if len(_scatter_cache) > 48:
-        _scatter_cache.clear()
-    _scatter_cache[key] = idx
-    return idx
-
-
-def _scatter_add(values, idx, n, c, hp, wp):
-    # values: (N, C, Ho, Wo, kh, kw) contributions; returns (N, C, Hp, Wp).
-    per = c * hp * wp
-    out = np.empty((n, per), dtype=np.float64)
-    flat_idx = idx.reshape(-1)
-    for i in range(n):
-        out[i] = np.bincount(flat_idx, weights=values[i].reshape(-1), minlength=per)
-    return out.reshape(n, c, hp, wp)
+    return [((i, j), (slice(None), slice(None),
+                      axis(i, stride[0], dilation[0], out_hw[0]),
+                      axis(j, stride[1], dilation[1], out_hw[1])))
+            for i in range(kernel[0]) for j in range(kernel[1])]
 
 
 def conv2d(x, weight, bias, spec):
     """Grouped/strided/dilated 2-D cross correlation, differentiable in all
-    of x, weight and bias. Forward and weight gradient run as stacked
-    matmuls over an im2col buffer; the input gradient scatters tap
-    contributions back through a cached index map."""
+    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw,
+    N*Ho*Wo) serves the forward, the weight gradient and the input gradient,
+    each one matmul per group; the input gradient is folded back (col2im)
+    by kh*kw strided slice-adds into a zero-padded buffer."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -210,7 +193,6 @@ def conv2d(x, weight, bias, spec):
     og = spec.out_channels // g
     kh, kw = spec.kernel
     ph, pw = spec.padding
-    sh, sw = spec.stride
 
     if ph or pw:
         xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
@@ -218,45 +200,32 @@ def conv2d(x, weight, bias, spec):
         xp = x.data
     win = _windows(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
     cols = np.ascontiguousarray(
-        win.reshape(n, g, cg, ho, wo, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
-    ).reshape(g, n * ho * wo, cg * kh * kw)
+        win.reshape(n, g, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+    ).reshape(g, cg * kh * kw, n * ho * wo)
     kmat = weight.data.reshape(g, og, cg * kh * kw)
-    prod = np.matmul(cols, kmat.transpose(0, 2, 1))  # (g, N*Ho*Wo, og)
+    prod = np.matmul(kmat, cols)  # (G, og, N*Ho*Wo)
     out = np.ascontiguousarray(
-        prod.reshape(g, n, ho, wo, og).transpose(1, 0, 4, 2, 3)
-    ).reshape(n, spec.out_channels, ho, wo)
+        prod.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3))
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
 
-    hp, wp = h + 2 * ph, w + 2 * pw
-
     def vjp(grad):
-        gx = gw = gb = None
+        gx = gw = None
         gg = np.ascontiguousarray(
-            grad.reshape(n, g, og, ho, wo).transpose(1, 0, 3, 4, 2)
-        ).reshape(g, n * ho * wo, og)
+            grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3)
+        ).reshape(g, og, n * ho * wo)
         if weight.requires_grad:
-            gw = np.matmul(gg.transpose(0, 2, 1), cols).reshape(weight.shape)
-            gw = gw.astype(weight.dtype)
+            gw = np.matmul(gg, cols.transpose(0, 2, 1)).reshape(weight.shape)
         if x.requires_grad:
-            dcols = np.matmul(gg, kmat)  # (g, N*Ho*Wo, cg*kh*kw)
-            contrib = np.ascontiguousarray(
-                dcols.reshape(g, n, ho, wo, cg, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
-            ).reshape(n, c, ho, wo, kh, kw)
-            if kh == 1 and kw == 1 and ph == 0 and pw == 0:
-                # every input position is sampled at most once
-                gxp = np.zeros((n, c, h, w), dtype=np.float64)
-                gxp[:, :, : ho * sh : sh, : wo * sw : sw] = contrib[..., 0, 0]
-                gx = gxp.astype(x.dtype)
-            else:
-                key = (c, hp, wp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
-                idx = _scatter_index(key, n, c, hp, wp, spec.kernel, spec.stride,
-                                     spec.dilation, (ho, wo))
-                gxp = _scatter_add(contrib, idx, n, c, hp, wp)
-                gx = gxp[:, :, ph : ph + h, pw : pw + w].astype(x.dtype)
-        if bias is not None and bias.requires_grad:
-            gb = grad.sum(axis=(0, 2, 3)).astype(bias.dtype)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+            dcols = np.matmul(kmat.transpose(0, 2, 1), gg).reshape(c, kh, kw, n, ho, wo)
+            gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+            for (i, j), tap in _taps(spec.kernel, spec.stride, spec.dilation, (ho, wo)):
+                gxp[tap] += dcols[:, i, j].transpose(1, 0, 2, 3)
+            gx = gxp[:, :, ph : ph + h, pw : pw + w]
+        if bias is None:
+            return gx, gw
+        gb = gg.sum(axis=2).reshape(-1) if bias.requires_grad else None
+        return gx, gw, gb
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
     return T.custom_op(out, parents, vjp)
@@ -325,63 +294,68 @@ class BatchNorm2d(Module):
         return self._forward_eval(x)
 
     def _forward_eval(self, x):
+        n, c, h, w = x.shape
+        xv = x.data.reshape(n, c, h * w)
         inv_std = 1.0 / np.sqrt(self.running_var.data + self.eps)
-        scale = (self.gamma.data * inv_std).reshape(1, -1, 1, 1)
-        shift = (self.beta.data - self.running_mean.data * self.gamma.data * inv_std)
-        out = x.data * scale + shift.reshape(1, -1, 1, 1)
+        scale = self.gamma.data * inv_std
+        out = xv * scale[:, None]
+        out += (self.beta.data - self.running_mean.data * scale)[:, None]
 
         def vjp(grad):
-            gx = (grad * scale).astype(x.dtype) if x.requires_grad else None
+            gv = grad.reshape(n, c, h * w)
+            gx = (gv * scale[:, None]).reshape(x.shape) if x.requires_grad else None
             gg = gb = None
             if self.gamma.requires_grad:
-                xhat = (x.data - self.running_mean.data.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-                gg = (grad * xhat).sum(axis=(0, 2, 3)).astype(self.gamma.dtype)
+                centred = xv - self.running_mean.data[:, None]
+                gg = np.einsum("ncs,ncs->c", gv, centred) * inv_std
             if self.beta.requires_grad:
-                gb = grad.sum(axis=(0, 2, 3)).astype(self.beta.dtype)
+                gb = gv.sum(axis=(0, 2))
             return gx, gg, gb
 
-        return T.custom_op(out.astype(x.dtype), (x, self.gamma, self.beta), vjp)
+        return T.custom_op(out.reshape(x.shape), (x, self.gamma, self.beta), vjp)
 
     def _forward_train(self, x):
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        mu = x.data.mean(axis=(0, 2, 3))
-        diff = x.data - mu.reshape(1, -1, 1, 1)
-        var = (diff * diff).mean(axis=(0, 2, 3))
+        n, c, h, w = x.shape
+        m = n * h * w
+        xv = x.data.reshape(n, c, h * w)
+        mu = xv.mean(axis=(0, 2))
+        xhat = xv - mu[:, None]
+        var = np.einsum("ncs,ncs->c", xhat, xhat) / m
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = diff * inv_std.reshape(1, -1, 1, 1)
-        out = self.gamma.data.reshape(1, -1, 1, 1) * xhat + self.beta.data.reshape(1, -1, 1, 1)
+        xhat *= inv_std[:, None]
+        out = xhat * self.gamma.data[:, None]
+        out += self.beta.data[:, None]
 
         mom = self.momentum
-        self.running_mean.data = ((1 - mom) * self.running_mean.data + mom * mu).astype(
-            self.running_mean.dtype)
-        self.running_var.data = ((1 - mom) * self.running_var.data + mom * var).astype(
-            self.running_var.dtype)
+        for buf, stat in ((self.running_mean, mu), (self.running_var, var)):
+            buf.data = ((1 - mom) * buf.data + mom * stat).astype(buf.dtype, copy=False)
 
         def vjp(grad):
-            gg = gb = gx = None
-            if self.gamma.requires_grad:
-                gg = (grad * xhat).sum(axis=(0, 2, 3)).astype(self.gamma.dtype)
-            if self.beta.requires_grad:
-                gb = grad.sum(axis=(0, 2, 3)).astype(self.beta.dtype)
+            gv = grad.reshape(n, c, h * w)
+            sum_g = gv.sum(axis=(0, 2))
+            sum_gx = np.einsum("ncs,ncs->c", gv, xhat)
+            gx = None
             if x.requires_grad:
-                # backprop through the batch statistics
-                dxhat = grad * self.gamma.data.reshape(1, -1, 1, 1)
-                sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-                sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-                gx = (inv_std.reshape(1, -1, 1, 1) / m) * (
-                    m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-                gx = gx.astype(x.dtype)
+                # gx = gamma * inv_std * (g - sum(g)/m - xhat * sum(g * xhat)/m)
+                gx = xhat * (sum_gx / m)[:, None]
+                gx += (sum_g / m)[:, None]
+                np.subtract(gv, gx, out=gx)
+                gx *= (self.gamma.data * inv_std)[:, None]
+                gx = gx.reshape(x.shape)
+            gg = sum_gx if self.gamma.requires_grad else None
+            gb = sum_g if self.beta.requires_grad else None
             return gx, gg, gb
 
-        return T.custom_op(out.astype(x.dtype), (x, self.gamma, self.beta), vjp)
+        return T.custom_op(out.reshape(x.shape), (x, self.gamma, self.beta), vjp)
 
 
 # ---- pooling ----------------------------------------------------------------
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
-    """Window max with -inf padding; gradient routes to the first argmax
-    of each window."""
+    """Window max with -inf padding, a running maximum over the kernel taps;
+    the gradient routes to the first maximal tap of each window in
+    row-major order. NaN propagates to the window's output."""
     kernel = _pair(kernel)
     stride = _pair(stride) if stride is not None else kernel
     padding = _pair(padding)
@@ -394,29 +368,28 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         raise ValueError(f"non-positive maxpool output extent for input {h}x{w}")
 
     ph, pw = padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                constant_values=-np.inf)
-    win = _windows(xp, kernel, stride, (1, 1), (ho, wo))
-    flat = np.ascontiguousarray(win).reshape(n, c, ho, wo, -1)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-    hp, wp = h + 2 * ph, w + 2 * pw
+    if ph or pw:
+        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    else:
+        xp = x.data
+    taps = [tap for _, tap in _taps(kernel, stride, (1, 1), (ho, wo))]
+    out = xp[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, xp[tap], out=out)
 
     def vjp(grad):
         if not x.requires_grad:
             return (None,)
-        kh, kw = kernel
-        ki, kj = np.unravel_index(idx.reshape(-1), (kh, kw))
-        ni, ci, hi, wi = np.unravel_index(np.arange(idx.size), idx.shape)
-        rows = hi * stride[0] + ki
-        cols = wi * stride[1] + kj
-        flat_idx = ((ni * c + ci) * hp + rows) * wp + cols
-        gxp = np.bincount(flat_idx, weights=grad.reshape(-1), minlength=n * c * hp * wp)
-        gxp = gxp.reshape(n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w]
-        return (gxp.astype(x.dtype),)
+        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        unrouted = np.ones(out.shape, dtype=bool)
+        for tap in taps:
+            hit = xp[tap] == out
+            hit &= unrouted
+            unrouted ^= hit
+            gxp[tap] += grad * hit
+        return (gxp[:, :, ph : ph + h, pw : pw + w],)
 
-    return T.custom_op(out.astype(x.dtype), (x,), vjp)
+    return T.custom_op(out, (x,), vjp)
 
 
 class MaxPool2d(Module):

@@ -160,7 +160,8 @@ def iter_batches(samples, spec, train, epoch, shuffle):
 def train_epoch(model, named_params, samples, adam, spec, epoch):
     """Seeded shuffle; per batch: augment, forward(train), cross-entropy,
     backward, Adam. Returns (mean loss, accuracy) over the epoch; a
-    non-finite loss raises RuntimeError before its update is applied."""
+    non-finite loss raises RuntimeError before its update is applied, and
+    the floating-point warnings of the diverging step stay silent."""
     if not samples:
         raise ValueError("empty training set")
     model.train()
@@ -170,15 +171,16 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
     seen = 0
     batches = iter_batches(samples, spec, train=True, epoch=epoch, shuffle=True)
     for batch, (x, y) in enumerate(batches):
-        logits = model.forward(x)
-        loss = cross_entropy(logits, y)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise RuntimeError(f"training diverged: loss {value} at epoch {epoch}, "
-                               f"batch {batch}")
-        model.zero_grad()
-        loss.backward()
-        adam_step(named_params, adam, lr)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logits = model.forward(x)
+            loss = cross_entropy(logits, y)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise RuntimeError(f"training diverged: loss {value} at epoch {epoch}, "
+                                   f"batch {batch}")
+            model.zero_grad()
+            loss.backward()
+            adam_step(named_params, adam, lr)
         n = len(y)
         total_loss += value * n
         correct += int((logits.data.argmax(axis=1) == y).sum())
@@ -358,8 +360,10 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
     seeded epochs, checkpoint per epoch, best-on-validation tracking.
 
     Returns (final TrainState, best TrainState or None, log lines).
-    The best state is reloaded from its checkpoint when ``out_dir`` is set;
-    otherwise the final state doubles as best.
+    The best state is reloaded from its checkpoint when that checkpoint is
+    in ``out_dir``; it is None without ``out_dir`` or when a resumed run's
+    best epoch precedes the resume point. A non-finite validation loss
+    raises RuntimeError before the epoch is logged or checkpointed.
     """
     fit_set, val_set = validation_split(train_set, fraction=spec.val_fraction,
                                         seed=spec.seed)
@@ -391,6 +395,9 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
             state.model, named_params, fit_set.samples, state.adam, spec, epoch)
         val_report, val_loss = evaluate(state.model, val_set.samples, spec,
                                         train_set.classes)
+        if not math.isfinite(val_loss):
+            raise RuntimeError(f"training diverged: validation loss {val_loss} after "
+                               f"epoch {epoch}")
         state.epoch = epoch + 1
         if val_report.accuracy > state.best_val_acc:
             state.best_val_acc = val_report.accuracy

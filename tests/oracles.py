@@ -44,6 +44,41 @@ def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), g
     return out
 
 
+def naive_conv2d_vjp(x, w, grad, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1):
+    """Gradients (gx, gw, gb) of sum(grad * conv(x, w, b)), accumulated tap by
+    tap in float64 over the same seven loops as ``naive_conv2d``."""
+    n, c, h, wdt = x.shape
+    cout, cg, kh, kw = w.shape
+    sh, sw = stride
+    ph, pw = padding
+    dh, dw = dilation
+    og = cout // groups
+    _, _, ho, wo = grad.shape
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    gb = np.zeros(cout, dtype=np.float64)
+    for ni in range(n):
+        for oc in range(cout):
+            gi = oc // og
+            for oy in range(ho):
+                for ox in range(wo):
+                    g = float(grad[ni, oc, oy, ox])
+                    gb[oc] += g
+                    for ic in range(cg):
+                        src_c = gi * cg + ic
+                        for ky in range(kh):
+                            iy = oy * sh - ph + ky * dh
+                            if iy < 0 or iy >= h:
+                                continue
+                            for kx in range(kw):
+                                ix = ox * sw - pw + kx * dw
+                                if ix < 0 or ix >= wdt:
+                                    continue
+                                gx[ni, src_c, iy, ix] += g * float(w[oc, ic, ky, kx])
+                                gw[oc, ic, ky, kx] += g * float(x[ni, src_c, iy, ix])
+    return gx, gw, gb
+
+
 def naive_maxpool2d(x, kernel, stride, padding=(0, 0)):
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -177,3 +212,28 @@ def naive_gradcam(acts, grads):
     else:
         cam = np.zeros_like(cam)
     return cam
+
+
+def naive_maxpool2d_vjp(x, grad, kernel, stride, padding=(0, 0)):
+    """Gradient of sum(grad * maxpool(x)): each window's gradient goes to its
+    first maximal input in row-major order, padding excluded."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    _, _, ho, wo = grad.shape
+    gx = np.zeros(x.shape, dtype=np.float64)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    best = None
+                    for ky in range(kh):
+                        iy = oy * sh - ph + ky
+                        for kx in range(kw):
+                            ix = ox * sw - pw + kx
+                            if 0 <= iy < h and 0 <= ix < w and (
+                                    best is None or x[ni, ci, iy, ix] > x[ni, ci][best]):
+                                best = (iy, ix)
+                    gx[ni, ci][best] += float(grad[ni, ci, oy, ox])
+    return gx

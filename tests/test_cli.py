@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -213,18 +214,23 @@ class TestTrainResume:
                 == (full / "checkpoints" / last).read_bytes())
         full_log = (full / "epochs.log").read_text().splitlines()
         assert (resumed / "epochs.log").read_text().splitlines() == [full_log[0], full_log[-1]]
+        # the best epoch precedes the resume point: both runs report its checkpoint
+        assert (full / "checkpoints" / "best.txt").read_text().startswith("epoch=0\n")
+        assert (resumed / "report.json").read_bytes() == (full / "report.json").read_bytes()
         out = capsys.readouterr().out
         assert out.count("36 train / 12 test samples; variant=cbam") == 2
         assert out.count("(best val epoch") == 2
 
 
 class TestFailureModes:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_1_without_checkpoints(self, tmp_path, corpus, capsys):
         out = tmp_path / "diverged"
-        code = main(["train", "--data", corpus, "--out", str(out), "--epochs", "3",
-                     "--batch-size", "8", "--lr", "1e12", "--seed", "5"] + MICRO_SETS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", corpus, "--out", str(out), "--epochs", "3",
+                         "--batch-size", "8", "--lr", "1e12", "--seed", "5"] + MICRO_SETS)
         assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged") and "epoch 0, batch" in err
         assert not [f for f in os.listdir(out / "checkpoints") if f.endswith(".ckpt")]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from shipnet import layers as L
 from shipnet import tensor as T
 
-from oracles import naive_conv2d, naive_maxpool2d
+from oracles import (naive_conv2d, naive_conv2d_vjp, naive_maxpool2d,
+                     naive_maxpool2d_vjp)
 
 
 def _rand(shape, seed, scale=1.0, dtype=np.float64):
@@ -84,6 +85,51 @@ class TestConv2d:
         err = T.grad_check(lambda a, ww, bb: (L.conv2d(a, ww, bb, spec) * r).sum(),
                            [x, w, b])
         assert err < 1e-4
+
+    def test_vjp_matches_naive_oracle_on_randomized_configs(self):
+        # the config stream of acceptance criterion 2 (same seed and draws)
+        rng = np.random.default_rng(20240816)
+        grad_rng = np.random.default_rng(1)
+        seen = set()
+        checked = 0
+        while checked < 60:
+            c = int(rng.choice([1, 2, 3, 4]))
+            groups = int(rng.choice([1, c]))
+            mult = int(rng.choice([1, 2]))
+            cout = c * mult if groups == c else int(rng.choice([1, 2, 4]))
+            if cout % groups:
+                continue
+            k = int(rng.choice([1, 2, 3]))
+            stride = int(rng.choice([1, 2]))
+            pad = int(rng.choice([0, 1, 3]))
+            dil = int(rng.choice([1, 2]))
+            hw = int(rng.integers(5, 10))
+            spec = L.Conv2dSpec(c, cout, k, stride=stride, padding=pad,
+                                dilation=dil, groups=groups, bias=bool(rng.integers(2)))
+            try:
+                ho, wo = spec.output_size(hw, hw)
+            except ValueError:
+                continue
+            n = int(rng.integers(1, 3))
+            x = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+            w = (rng.standard_normal(spec.weight_shape()) * 0.5).astype(np.float32)
+            b = (rng.standard_normal(cout) * 0.2).astype(np.float32) if spec.bias else None
+            grad = grad_rng.standard_normal((n, cout, ho, wo)).astype(np.float32)
+            xt = T.Tensor(x, requires_grad=True)
+            wt = T.Tensor(w, requires_grad=True)
+            bt = T.Tensor(b, requires_grad=True) if b is not None else None
+            grads = L.conv2d(xt, wt, bt, spec)._vjp(grad)
+            refs = naive_conv2d_vjp(x, w, grad, spec.stride, spec.padding, spec.dilation,
+                                    groups)
+            for got, ref, like in zip(grads, refs, (x, w, b)):
+                assert got.shape == like.shape and got.dtype == np.float32, spec
+                assert np.max(np.abs(got - ref)) < 1e-4, spec
+            seen.update({("groups=c>1", groups == c > 1), ("k1 gaps", k == 1 and stride == 2),
+                         ("dilation 2", dil == 2), ("pad > kernel", pad == 3 > k),
+                         ("n", n)})
+            checked += 1
+        assert {("groups=c>1", True), ("k1 gaps", True), ("dilation 2", True),
+                ("pad > kernel", True), ("n", 1), ("n", 2)} <= seen
 
     def test_im2col_equals_matmul_form_base_case(self):
         # stride 1, pad 0, dilation 1, groups 1: conv equals explicit im2col matmul
@@ -211,6 +257,30 @@ class TestMaxPool:
                           requires_grad=True)
         L.maxpool2d(x, 2, 2).sum().backward()
         assert np.array_equal(x.grad.ravel(), [1, 0, 0, 0])
+
+    def test_backward_matches_naive_oracle_with_overlaps_and_ties(self):
+        # k3 s2 p1 as in the stem: windows overlap, and a 3-level input
+        # makes exact ties in most windows
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 3, (2, 3, 9, 8)).astype(np.float32)
+        xt = T.Tensor(x, requires_grad=True)
+        out = L.maxpool2d(xt, 3, 2, 1)
+        grad = rng.standard_normal(out.shape).astype(np.float32)
+        (gx,) = out._vjp(grad)
+        ref = naive_maxpool2d_vjp(x, grad, (3, 3), (2, 2), (1, 1))
+        assert gx.shape == x.shape and gx.dtype == np.float32
+        assert np.max(np.abs(gx - ref)) < 1e-6
+
+    def test_nan_in_window_propagates(self):
+        x = _rand((1, 2, 6, 6), 24, dtype=np.float32)
+        x[0, 1, 2, 3] = np.nan
+        out = L.maxpool2d(T.Tensor(x), 3, 2, 1).data
+        # windows (rows 2i-1..2i+1, cols 2j-1..2j+1) holding (2, 3): i in {1}, j in {1, 2}
+        nan_at = np.zeros(out.shape, dtype=bool)
+        nan_at[0, 1, 1, 1:3] = True
+        assert np.array_equal(np.isnan(out), nan_at)
+        ref = naive_maxpool2d(x.astype(np.float64), (3, 3), (2, 2), (1, 1))
+        assert np.array_equal(out[~nan_at], ref[~nan_at].astype(np.float32))
 
     def test_pad_not_smaller_than_kernel(self):
         with pytest.raises(ValueError):

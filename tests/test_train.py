@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shipnet import tensor as T
 from shipnet import train as TR
-from shipnet.data import Dataset, Sample
+from shipnet.data import Dataset, Sample, validation_split
 from shipnet.models import ModelConfig, build_model, parameter_checksum
 
 MICRO = dict(stage_blocks=(1, 1, 1, 1), base_width=8, input_size=(32, 32),
@@ -329,6 +329,29 @@ class TestFit:
                                                  resume_state=resume)
         assert resumed_lines == full_lines[2:]
         assert parameter_checksum(resumed_state.model) == parameter_checksum(full_state.model)
+
+    def test_nan_from_the_last_step_raises_before_its_checkpoint(self, tmp_path,
+                                                                 monkeypatch):
+        config = micro_config()
+        ds = micro_dataset()
+        spec = micro_spec(epochs=2)
+        fit_set, _ = validation_split(ds, fraction=spec.val_fraction, seed=spec.seed)
+        last_step = spec.epochs * -(-len(fit_set) // spec.batch_size)
+        calls = []
+        real_step = TR.adam_step
+
+        def poisoned_step(named_params, state, lr):
+            real_step(named_params, state, lr)
+            calls.append(lr)
+            if len(calls) == last_step:
+                next(iter(named_params.values())).data[...] = np.nan
+
+        monkeypatch.setattr(TR, "adam_step", poisoned_step)
+        with pytest.raises(RuntimeError, match="validation loss nan after epoch 1"):
+            TR.fit(config, ds, spec, out_dir=str(tmp_path))
+        assert len(calls) == last_step
+        assert sorted(os.listdir(tmp_path / "checkpoints")) == ["epoch_000.ckpt"]
+        assert len((tmp_path / "epochs.log").read_text().splitlines()) == 2
 
     def test_progress_on_separable_data(self, tmp_path):
         config = micro_config()
