@@ -162,6 +162,11 @@ def cmd_gen_synth(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
+    if args.force and args.resume and cfg.out_dir:
+        out = os.path.realpath(cfg.out_dir)
+        if os.path.commonpath([out, os.path.realpath(args.resume)]) == out:
+            raise CliError(f"--resume {args.resume} lies inside {cfg.out_dir}, which "
+                           "--force would clear; resume into another directory")
     out_dir = _prepare_out_dir(cfg.out_dir, args.force)
     _emit_run_metadata(out_dir, cfg)
     ds = _load_dataset(cfg, out_dir)

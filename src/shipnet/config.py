@@ -3,6 +3,7 @@ override layering, and a canonical echo. Unknown keys are hard errors."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .models import VARIANTS, ModelConfig
@@ -141,6 +142,13 @@ class RunConfig:
             raise ValueError("val_fraction must be in (0,1)")
         if self.norm not in ("dataset", "custom"):
             raise ValueError("norm must be 'dataset' or 'custom'")
+        for key, low in (("batch_size", 1), ("lr", 0), ("lr_decay_every", 1),
+                         ("rotation_deg", 0), ("workers", 1)):
+            value = getattr(self, key)
+            if not low <= value < math.inf:
+                raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")
+        if self.rotation_deg > 180:
+            raise ValueError(f"rotation_deg must be <= 180, got {self.rotation_deg!r}")
         return self
 
     def echo(self):

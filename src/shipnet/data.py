@@ -3,7 +3,9 @@
 Images are binary PPM (P6) decoded to [3,H,W] float arrays in [0,1].
 Splits, class exclusion and augmentation are pure functions of their inputs
 and seeds; a directory tree ``root/<class_name>/*.ppm`` maps to class
-indices by sorted directory name.
+indices by sorted directory name. Augmentation (flips read as a view, then
+one bilinear warp per image) is bitwise equal to the per-tap reference in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -212,43 +214,49 @@ def dataset_mean_std(samples):
 
 
 def rotate_bilinear(img, degrees):
-    """Rotate about the image center, bilinear sampling, zero fill outside."""
+    """Rotate [C,H,W] (any view) about the image center, bilinear sampling,
+    zero fill outside.
+
+    The image is copied once into a zero-bordered buffer wide enough for
+    every tap, so an out-of-image tap reads 0 and no index is clipped or
+    masked; the four taps are ``take``s of one flat index at offsets 0, 1,
+    wb and wb+1 (wb: the bordered row length), accumulated in the order
+    (00, 01, 10, 11)."""
     c, h, w = img.shape
     theta = np.deg2rad(degrees)
     cos, sin = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    dx = np.arange(w, dtype=np.float64) - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
     # inverse map: output pixel pulls from rotated source location
-    sx = cos * (xx - cx) + sin * (yy - cy) + cx
-    sy = -sin * (xx - cx) + cos * (yy - cy) + cy
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-    out = np.zeros_like(img)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            wgt = (fx if dx else 1 - fx) * (fy if dy else 1 - fy)
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            xi_c = np.clip(xi, 0, w - 1)
-            yi_c = np.clip(yi, 0, h - 1)
-            out += img[:, yi_c, xi_c] * (wgt * valid)[None].astype(img.dtype)
+    sx = cos * dx + sin * dy + cx
+    sy = -sin * dx + cos * dy + cy
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx, fy = sx - x0, sy - y0
+    gx, gy = 1 - fx, 1 - fy
+    b = int(max(0, -x0.min(), -y0.min(), x0.max() + 2 - w, y0.max() + 2 - h))
+    wb = w + 2 * b
+    buf = np.zeros((c, h + 2 * b, wb), dtype=img.dtype)
+    buf[:, b : b + h, b : b + w] = img
+    flat = buf.reshape(c, -1)
+    idx = (y0 * wb + x0).astype(np.intp) + (b * wb + b)
+    out = np.zeros((c, h, w), dtype=img.dtype)
+    for off, wgt in ((0, gx * gy), (1, fx * gy), (wb, gx * fy), (wb + 1, fx * fy)):
+        out += flat.take(idx + off, axis=1) * wgt.astype(img.dtype)
     return out
 
 
 def augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True, rotate=True):
     """Independent random horizontal/vertical flips (p=0.5 each) and a
-    rotation uniform in [-max_rotation_deg, +max_rotation_deg]."""
+    rotation uniform in [-max_rotation_deg, +max_rotation_deg], drawn in
+    that order; the flips are a view the warp reads through."""
     if hflip and rng.random() < 0.5:
         img = img[:, :, ::-1]
     if vflip and rng.random() < 0.5:
         img = img[:, ::-1, :]
     if rotate:
-        angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
-        img = rotate_bilinear(np.ascontiguousarray(img), angle)
+        return rotate_bilinear(img, rng.uniform(-max_rotation_deg, max_rotation_deg))
     return np.ascontiguousarray(img)
 
 

@@ -146,7 +146,7 @@ def iter_batches(samples, spec, train, epoch, shuffle):
             else:
                 imgs = [_prepare_sample(s, spec, train, spec.seed, epoch, i)
                         for i, s in zip(idx, batch_samples)]
-            x = np.stack(imgs).astype(np.float32)
+            x = np.stack(imgs).astype(np.float32, copy=False)
             y = np.array([s.label for s in batch_samples], dtype=np.int64)
             yield T.Tensor(x), y
     finally:

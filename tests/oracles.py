@@ -237,3 +237,45 @@ def naive_maxpool2d_vjp(x, grad, kernel, stride, padding=(0, 0)):
                                 best = (iy, ix)
                     gx[ni, ci][best] += float(grad[ni, ci, oy, ox])
     return gx
+
+
+def naive_rotate_bilinear(img, degrees):
+    """The original per-tap rotation: a float64 meshgrid, and for each of the
+    four taps a clipped gather times a weight masked to 0 outside the image."""
+    c, h, w = img.shape
+    theta = np.deg2rad(degrees)
+    cos, sin = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    # inverse map: output pixel pulls from rotated source location
+    sx = cos * (xx - cx) + sin * (yy - cy) + cx
+    sy = -sin * (xx - cx) + cos * (yy - cy) + cy
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+    out = np.zeros_like(img)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xi = x0 + dx
+            yi = y0 + dy
+            wgt = (fx if dx else 1 - fx) * (fy if dy else 1 - fy)
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            xi_c = np.clip(xi, 0, w - 1)
+            yi_c = np.clip(yi, 0, h - 1)
+            out += img[:, yi_c, xi_c] * (wgt * valid)[None].astype(img.dtype)
+    return out
+
+
+def naive_augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True, rotate=True):
+    """The original augmentation: flip copies, then ``naive_rotate_bilinear``
+    of the contiguous result; draws in the order hflip, vflip, angle."""
+    if hflip and rng.random() < 0.5:
+        img = img[:, :, ::-1]
+    if vflip and rng.random() < 0.5:
+        img = img[:, ::-1, :]
+    if rotate:
+        angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
+        img = naive_rotate_bilinear(np.ascontiguousarray(img), angle)
+    return np.ascontiguousarray(img)

@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shipnet
 from shipnet.cli import main
+from shipnet.config import RunConfig
 from shipnet.data import decode_ppm, read_ppm
 from shipnet.metrics import round2
 
@@ -73,6 +76,25 @@ class TestArgHandling:
                      "--set", "epochs=soon"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--batch-size", "0"], "batch_size"),
+        (["--lr", "-1"], "lr"),
+        (["--lr", "nan"], "lr"),
+        (["--set", "lr_decay_every=0"], "lr_decay_every"),
+        (["--set", "rotation_deg=-5"], "rotation_deg"),
+        (["--set", "rotation_deg=1e308"], "rotation_deg"),
+        (["--workers", "-3"], "workers"),
+    ])
+    def test_out_of_range_setting_exits_2_without_writing(self, tmp_path, corpus, capsys,
+                                                          flags, key):
+        out = tmp_path / "never"
+        code = main(["train", "--data", corpus, "--out", str(out), "--epochs", "1"]
+                    + MICRO_SETS + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
     def test_config_file_layering(self, tmp_path, corpus):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment line\nepochs=1\nbatch_size=8\nlr=1e-3\n"
@@ -86,6 +108,43 @@ class TestArgHandling:
         echo = (out / "config.txt").read_text()
         assert "epochs=1" in echo
         assert "variant=baseline" in echo
+
+
+CONFIG_TEXT = (b"# comment line\nepochs=1\nbatch_size=8\nlr=1e-3\npreset=tiny\n"
+               b"rotation_deg=10\nnorm_mean=0.5,0.5,0.5\ncbam_stages=3,4\n")
+
+
+def _load_or_clean_error(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        RunConfig.load(str(path))
+    except (ValueError, KeyError):
+        pass
+
+
+class TestConfigFileFuzz:
+    """A mutated config file loads or raises ValueError or KeyError, the two
+    errors the CLI reports as a clean exit 2."""
+
+    @given(st.integers(0, len(CONFIG_TEXT) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_at_any_byte(self, tmp_path_factory, cut):
+        _load_or_clean_error(tmp_path_factory, CONFIG_TEXT[:cut])
+
+    @given(st.lists(st.tuples(st.integers(0, len(CONFIG_TEXT) - 1), st.integers(1, 255)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_flipped(self, tmp_path_factory, flips):
+        raw = bytearray(CONFIG_TEXT)
+        for pos, mask in flips:
+            raw[pos] ^= mask
+        _load_or_clean_error(tmp_path_factory, bytes(raw))
+
+    @given(st.integers(0, len(CONFIG_TEXT)), st.binary(min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_inserted(self, tmp_path_factory, pos, extra):
+        _load_or_clean_error(tmp_path_factory, CONFIG_TEXT[:pos] + extra + CONFIG_TEXT[pos:])
 
 
 class TestTrainRunDir:
@@ -220,6 +279,17 @@ class TestTrainResume:
         out = capsys.readouterr().out
         assert out.count("36 train / 12 test samples; variant=cbam") == 2
         assert out.count("(best val epoch") == 2
+
+    def test_force_resume_from_inside_the_out_dir_is_refused(self, tmp_path, corpus, capsys):
+        run = tmp_path / "run"
+        args = ["--data", corpus, "--out", str(run), "--epochs", "2", "--batch-size", "8",
+                "--lr", "1e-3", "--seed", "5"] + MICRO_SETS
+        assert main(["train"] + args) == 0
+        ckpt = run / "checkpoints" / "epoch_000.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--force", "--resume", str(ckpt)] + args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert ckpt.exists() and (run / "epochs.log").exists()
 
 
 class TestFailureModes:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_augment, naive_rotate_bilinear
 from shipnet import data as D
 
 
@@ -168,6 +171,77 @@ class TestAugment:
         a = D.augment(img, np.random.default_rng(5))
         b = D.augment(img, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+def _same_bits(out, ref):
+    return out.dtype == ref.dtype and out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+_IMAGE = dict(c=st.integers(1, 3), h=st.integers(1, 40), w=st.integers(1, 40),
+              dtype=st.sampled_from([np.float32, np.float64]),
+              seed=st.integers(0, 2**32 - 1))
+
+
+class TestAugmentOracle:
+    """The zero-bordered warp reproduces the clipped, masked per-tap oracle
+    bit for bit (signed zeros included) for any shape, dtype and angle."""
+
+    @pytest.mark.parametrize("hflip,vflip,rotate",
+                             list(itertools.product((False, True), repeat=3)))
+    @given(max_deg=st.floats(0, 180), **_IMAGE)
+    @settings(max_examples=12, deadline=None)
+    def test_augment_matches_oracle(self, hflip, vflip, rotate, max_deg, c, h, w, dtype,
+                                    seed):
+        img = np.random.default_rng(seed).random((c, h, w)).astype(dtype)
+        out = D.augment(img, np.random.default_rng(seed), max_deg, hflip, vflip, rotate)
+        ref = naive_augment(img, np.random.default_rng(seed), max_deg, hflip, vflip, rotate)
+        assert _same_bits(out, ref)
+
+    @given(degrees=st.floats(-360, 360), **_IMAGE)
+    @settings(max_examples=40, deadline=None)
+    def test_rotate_matches_oracle_on_signed_values(self, degrees, c, h, w, dtype, seed):
+        img = np.random.default_rng(seed).standard_normal((c, h, w)).astype(dtype)
+        assert _same_bits(D.rotate_bilinear(img, degrees), naive_rotate_bilinear(img, degrees))
+
+    @pytest.mark.parametrize("shape", [(3, 64, 64), (3, 40, 72), (1, 5, 9), (2, 1, 7)])
+    @pytest.mark.parametrize("degrees", [0.0, 0.5, -10.0, 45.0, 90.0, -135.0, 180.0])
+    def test_rotate_matches_oracle_on_fixed_angles(self, shape, degrees):
+        img = np.random.default_rng(0).random(shape).astype(np.float32)
+        assert _same_bits(D.rotate_bilinear(img, degrees), naive_rotate_bilinear(img, degrees))
+
+
+PPM = D.encode_ppm(_img(9, h=3, w=5))
+
+
+def _decode_or_value_error(raw):
+    try:
+        img = D.decode_ppm(bytes(raw))
+    except ValueError:
+        return
+    assert img.dtype == np.float32 and img.ndim == 3 and img.shape[0] == 3
+
+
+class TestPpmDecoderFuzz:
+    """Mutated PPM bytes either decode or raise ValueError, nothing else."""
+
+    @given(st.integers(0, len(PPM) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_at_any_byte(self, cut):
+        _decode_or_value_error(PPM[:cut])
+
+    @given(st.lists(st.tuples(st.integers(0, 15), st.integers(1, 255)), min_size=1,
+                    max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_header_bytes_flipped(self, flips):
+        raw = bytearray(PPM)
+        for pos, mask in flips:
+            raw[pos] ^= mask
+        _decode_or_value_error(raw)
+
+    @given(st.integers(0, len(PPM)), st.binary(min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_inserted(self, pos, extra):
+        _decode_or_value_error(PPM[:pos] + extra + PPM[pos:])
 
 
 def _dataset(counts, seed=0):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_augment
 from shipnet import tensor as T
 from shipnet import train as TR
 from shipnet.data import Dataset, Sample, validation_split
@@ -361,6 +362,29 @@ class TestFit:
         first = float(lines[0].split("\t")[2])
         last = float(lines[4].split("\t")[2])
         assert last < first
+
+
+class TestAugmentedBatches:
+    def test_batch_equals_the_oracle_preparation(self):
+        ds = micro_dataset(per_class=3)
+        spec = micro_spec(augment=True, rotation_deg=30.0, seed=13)
+        epoch = 2
+
+        def stream(*key):
+            return np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=spec.seed, spawn_key=(epoch,) + key)))
+
+        order = stream(0).permutation(len(ds.samples))
+        mean = np.float32(spec.norm_mean).reshape(3, 1, 1)
+        std = np.float32(spec.norm_std).reshape(3, 1, 1)
+        batches = list(TR.iter_batches(ds.samples, spec, True, epoch, True))
+        assert len(batches) == 2
+        for b, (x, y) in enumerate(batches):
+            idx = order[b * spec.batch_size : (b + 1) * spec.batch_size]
+            ref = np.stack([(naive_augment(ds.samples[i].image, stream(1, i), 30.0) - mean)
+                            / std for i in idx])
+            assert x.data.dtype == ref.dtype and x.data.tobytes() == ref.tobytes()
+            assert np.array_equal(y, [ds.samples[i].label for i in idx])
 
 
 class TestWorkers:
