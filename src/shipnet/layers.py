@@ -1,13 +1,13 @@
 """Neural-network layers over the autodiff core.
 
 Convolution supports stride, zero padding, dilation and groups (cross
-correlation, the usual deep-learning convention). The forward copies strided
-windows once into a group-major im2col buffer and contracts it with the
-kernel, one matmul per group; the weight and input gradients reuse that
-buffer, and the input gradient is folded back by one strided slice-add per
-kernel tap (col2im). Max pooling is a running maximum over the kernel taps.
-Batch normalization and cross entropy are fused ops with hand-written
-backward rules.
+correlation, the usual deep-learning convention). The forward copies the
+kernel taps once into a group-major im2col buffer, batch-innermost unless the
+conv is an unpadded 1x1, and contracts it with the kernel, one matmul per
+group; the weight and input gradients reuse that buffer, and the input
+gradient is folded back by one strided slice-add per kernel tap (col2im).
+Max pooling is a running maximum over the kernel taps. Batch normalization
+and cross entropy are fused ops with hand-written backward rules.
 """
 
 from __future__ import annotations
@@ -88,7 +88,10 @@ class Module:
 
 
 def kaiming_normal(shape, fan_in, rng, dtype=np.float32):
-    """Fan-in scaled normal init, std = sqrt(2 / fan_in)."""
+    """Fan-in scaled normal init, std = sqrt(2 / fan_in); zeros, with no
+    draw, when ``rng`` is None (parameters that are loaded next)."""
+    if rng is None:
+        return T.zeros(shape, dtype=dtype, requires_grad=True)
     return T.normal(shape, np.sqrt(2.0 / fan_in), rng, dtype=dtype, requires_grad=True)
 
 
@@ -150,38 +153,28 @@ class Conv2dSpec:
                 f"bias={self.bias})")
 
 
-def _windows(xp, kernel, stride, dilation, out_hw):
-    # Strided view (N, C, Ho, Wo, kh, kw) over the padded input.
-    n, c, _, _ = xp.shape
-    kh, kw = kernel
-    ho, wo = out_hw
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, ho, wo, kh, kw),
-        strides=(sn, sc, sh * stride[0], sw * stride[1], sh * dilation[0], sw * dilation[1]),
-        writeable=False,
-    )
-
-
-def _taps(kernel, stride, dilation, out_hw):
-    # Row-major ((i, j), index) per kernel tap; the index selects the
-    # (N, C, Ho, Wo) positions of the padded input that tap reads.
+def _taps(kernel, stride, dilation, out_hw, lead):
+    # Row-major ((i, j), index) per kernel tap; the index selects the padded
+    # input positions that tap reads, in an array whose two spatial axes
+    # follow ``lead`` leading axes.
     def axis(k, s, d, o):
         return slice(k * d, k * d + (o - 1) * s + 1, s)
 
-    return [((i, j), (slice(None), slice(None),
-                      axis(i, stride[0], dilation[0], out_hw[0]),
-                      axis(j, stride[1], dilation[1], out_hw[1])))
+    return [((i, j), (slice(None),) * lead + (axis(i, stride[0], dilation[0], out_hw[0]),
+                                               axis(j, stride[1], dilation[1], out_hw[1])))
             for i in range(kernel[0]) for j in range(kernel[1])]
 
 
 def conv2d(x, weight, bias, spec):
     """Grouped/strided/dilated 2-D cross correlation, differentiable in all
-    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw,
-    N*Ho*Wo) serves the forward, the weight gradient and the input gradient,
-    each one matmul per group; the input gradient is folded back (col2im)
-    by kh*kw strided slice-adds into a zero-padded buffer."""
+    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw, cols)
+    serves the forward, the weight gradient and the input gradient, each
+    one matmul per group. An unpadded 1x1 conv takes channel-major columns
+    (N*Ho*Wo) by one strided copy, and its input gradient is one strided
+    assignment. Every other conv gathers its kh*kw taps from a zero-padded
+    (C, Hp, Wp, N) copy of x, so each tap copy and col2im slice-add runs its
+    inner loop over the batch, not over a 2-8 wide row; for 1x1 convs the
+    transposes of a batch-innermost layout cost more than the loops saved."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -193,35 +186,45 @@ def conv2d(x, weight, bias, spec):
     og = spec.out_channels // g
     kh, kw = spec.kernel
     ph, pw = spec.padding
+    sh, sw = spec.stride
+    pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
 
-    if ph or pw:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    if pointwise:
+        cols = np.empty((c, n, ho, wo), dtype=x.dtype)
+        cols[...] = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
     else:
-        xp = x.data
-    win = _windows(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
-    cols = np.ascontiguousarray(
-        win.reshape(n, g, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
-    ).reshape(g, cg * kh * kw, n * ho * wo)
+        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+        xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
+        taps = _taps(spec.kernel, spec.stride, spec.dilation, (ho, wo), 1)
+        cols = np.empty((c, kh, kw, ho, wo, n), dtype=x.dtype)
+        for (i, j), tap in taps:
+            cols[:, i, j] = xp[tap]
+    # NCHW axes in column order: (C, N, Ho, Wo) or (C, Ho, Wo, N); argsort inverts it
+    col_axes = (1, 0, 2, 3) if pointwise else (1, 2, 3, 0)
+    out_cols = (spec.out_channels,) + cols.shape[-3:]
+    cols = cols.reshape(g, cg * kh * kw, -1)
     kmat = weight.data.reshape(g, og, cg * kh * kw)
-    prod = np.matmul(kmat, cols)  # (G, og, N*Ho*Wo)
-    out = np.ascontiguousarray(
-        prod.reshape(spec.out_channels, n, ho, wo).transpose(1, 0, 2, 3))
+    out = np.matmul(kmat, cols).reshape(out_cols).transpose(np.argsort(col_axes))
+    out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
 
     def vjp(grad):
         gx = gw = None
-        gg = np.ascontiguousarray(
-            grad.reshape(n, g, og, ho * wo).transpose(1, 2, 0, 3)
-        ).reshape(g, og, n * ho * wo)
+        gg = np.ascontiguousarray(grad.transpose(col_axes)).reshape(g, og, -1)
         if weight.requires_grad:
             gw = np.matmul(gg, cols.transpose(0, 2, 1)).reshape(weight.shape)
         if x.requires_grad:
-            dcols = np.matmul(kmat.transpose(0, 2, 1), gg).reshape(c, kh, kw, n, ho, wo)
-            gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-            for (i, j), tap in _taps(spec.kernel, spec.stride, spec.dilation, (ho, wo)):
-                gxp[tap] += dcols[:, i, j].transpose(1, 0, 2, 3)
-            gx = gxp[:, :, ph : ph + h, pw : pw + w]
+            dcols = np.matmul(kmat.transpose(0, 2, 1), gg)
+            if pointwise:
+                gx = (np.empty if spec.stride == (1, 1) else np.zeros)(x.shape, dtype=x.dtype)
+                gx[:, :, ::sh, ::sw] = dcols.reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
+            else:
+                dcols = dcols.reshape(c, kh, kw, ho, wo, n)
+                gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+                for (i, j), tap in taps:
+                    gxp[tap] += dcols[:, i, j]
+                gx = gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
         if bias is None:
             return gx, gw
         gb = gg.sum(axis=2).reshape(-1) if bias.requires_grad else None
@@ -267,12 +270,22 @@ class DepthwiseSeparableConv2d(Module):
 # ---- batch normalization ----------------------------------------------------
 
 
+def _channel_sum(column_sums, channels):
+    # Per-channel totals of an (N, C*H*W) array, given its sums over N.
+    return column_sums.reshape(channels, -1).sum(axis=1)
+
+
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes with batch statistics (biased variance, clamped by
     eps) and updates running statistics by exponential moving average. Eval
     mode depends only on the running statistics.
+
+    Both work on an (N, C*H*W) view: a per-channel vector is repeated H*W
+    times along whole rows, and a per-channel sum is a column sum over N
+    followed by a (C, H*W) row sum, so no full-size pass runs its inner
+    loop over a 1-64 element H*W plane.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
@@ -295,52 +308,54 @@ class BatchNorm2d(Module):
 
     def _forward_eval(self, x):
         n, c, h, w = x.shape
-        xv = x.data.reshape(n, c, h * w)
+        s = h * w
+        xv = x.data.reshape(n, c * s)
         inv_std = 1.0 / np.sqrt(self.running_var.data + self.eps)
         scale = self.gamma.data * inv_std
-        out = xv * scale[:, None]
-        out += (self.beta.data - self.running_mean.data * scale)[:, None]
+        out = xv * np.repeat(scale, s)
+        out += np.repeat(self.beta.data - self.running_mean.data * scale, s)
 
         def vjp(grad):
-            gv = grad.reshape(n, c, h * w)
-            gx = (gv * scale[:, None]).reshape(x.shape) if x.requires_grad else None
+            gv = grad.reshape(n, c * s)
+            gx = (gv * np.repeat(scale, s)).reshape(x.shape) if x.requires_grad else None
             gg = gb = None
             if self.gamma.requires_grad:
-                centred = xv - self.running_mean.data[:, None]
-                gg = np.einsum("ncs,ncs->c", gv, centred) * inv_std
+                centred = xv - np.repeat(self.running_mean.data, s)
+                gg = _channel_sum(np.einsum("nk,nk->k", gv, centred), c) * inv_std
             if self.beta.requires_grad:
-                gb = gv.sum(axis=(0, 2))
+                gb = _channel_sum(gv.sum(axis=0), c)
             return gx, gg, gb
 
         return T.custom_op(out.reshape(x.shape), (x, self.gamma, self.beta), vjp)
 
     def _forward_train(self, x):
         n, c, h, w = x.shape
-        m = n * h * w
-        xv = x.data.reshape(n, c, h * w)
-        mu = xv.mean(axis=(0, 2))
-        xhat = xv - mu[:, None]
-        var = np.einsum("ncs,ncs->c", xhat, xhat) / m
+        s = h * w
+        m = n * s
+        xv = x.data.reshape(n, c * s)
+        mu = _channel_sum(xv.sum(axis=0), c) / m
+        xhat = xv - np.repeat(mu, s)
+        var = _channel_sum(np.einsum("nk,nk->k", xhat, xhat), c) / m
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv_std[:, None]
-        out = xhat * self.gamma.data[:, None]
-        out += self.beta.data[:, None]
+        xhat *= np.repeat(inv_std, s)
+        out = xhat * np.repeat(self.gamma.data, s)
+        out += np.repeat(self.beta.data, s)
 
         mom = self.momentum
         for buf, stat in ((self.running_mean, mu), (self.running_var, var)):
             buf.data = ((1 - mom) * buf.data + mom * stat).astype(buf.dtype, copy=False)
 
         def vjp(grad):
-            gv = grad.reshape(n, c, h * w)
-            sum_g = gv.sum(axis=(0, 2))
-            sum_gx = np.einsum("ncs,ncs->c", gv, xhat)
+            gv = grad.reshape(n, c * s)
+            sum_g = _channel_sum(gv.sum(axis=0), c)
+            sum_gx = _channel_sum(np.einsum("nk,nk->k", gv, xhat), c)
             gx = None
             if x.requires_grad:
                 # gx = gamma * inv_std * (g - sum(g)/m - xhat * sum(g * xhat)/m)
-                gx = xhat * (sum_gx / m)[:, None]
-                gx += (sum_g / m)[:, None]
+                gx = xhat * np.repeat(sum_gx / m, s)
+                gx += np.repeat(sum_g / m, s)
                 np.subtract(gv, gx, out=gx)
-                gx *= (self.gamma.data * inv_std)[:, None]
+                gx *= np.repeat(self.gamma.data * inv_std, s)
                 gx = gx.reshape(x.shape)
             gg = sum_gx if self.gamma.requires_grad else None
             gb = sum_g if self.beta.requires_grad else None
@@ -372,7 +387,7 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     else:
         xp = x.data
-    taps = [tap for _, tap in _taps(kernel, stride, (1, 1), (ho, wo))]
+    taps = [tap for _, tap in _taps(kernel, stride, (1, 1), (ho, wo), 2)]
     out = xp[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(out, xp[tap], out=out)

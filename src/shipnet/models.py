@@ -271,7 +271,7 @@ class ShipClassifier(Module):
         config.validate()
         self.config = config
         self.dtype = dtype
-        rng = T.make_rng(seed)
+        rng = T.make_rng(seed) if seed is not None else None
 
         w = config.base_width
         self.stem_conv = Conv2d(Conv2dSpec(3, w, 7, stride=2, padding=3, bias=False),
@@ -355,7 +355,8 @@ class _Sequential(Module):
 
 
 def build_model(config, seed, dtype=np.float32):
-    """Deterministic per seed: identical seeds give identical parameters."""
+    """Deterministic per seed: identical seeds give identical parameters;
+    seed None draws nothing and leaves zero weights for a checkpoint to fill."""
     return ShipClassifier(config, seed, dtype)
 
 

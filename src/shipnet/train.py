@@ -315,7 +315,7 @@ def _decode_checkpoint(raw, expected_config):
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after the tensor table")
 
-    model = build_model(config, seed=0)
+    model = build_model(config, seed=None)
     params = dict(model.named_parameters())
     slots = {f"param.{n}": p for n, p in params.items()}
     slots.update((f"buffer.{n}", b) for n, b in model.named_buffers())

@@ -105,6 +105,75 @@ def naive_maxpool2d(x, kernel, stride, padding=(0, 0)):
     return out
 
 
+def naive_batchnorm2d_train(x, gamma, beta, grad, running_mean, running_var,
+                            momentum=0.1, eps=1e-5):
+    """Train-mode batch norm channel by channel in float64: returns (out,
+    new running mean, new running var, gx, ggamma, gbeta) for an upstream
+    gradient ``grad``; the running variance takes the biased batch variance."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    out = np.zeros(x.shape)
+    gx = np.zeros(x.shape)
+    gg = np.zeros(c)
+    gb = np.zeros(c)
+    new_mean = np.zeros(c)
+    new_var = np.zeros(c)
+    for ci in range(c):
+        total = 0.0
+        for ni in range(n):
+            for yi in range(h):
+                for xi in range(w):
+                    total += float(x[ni, ci, yi, xi])
+        mu = total / m
+        sq = 0.0
+        for ni in range(n):
+            for yi in range(h):
+                for xi in range(w):
+                    sq += (float(x[ni, ci, yi, xi]) - mu) ** 2
+        var = sq / m
+        inv = 1.0 / math.sqrt(var + eps)
+        for ni in range(n):
+            for yi in range(h):
+                for xi in range(w):
+                    xhat = (float(x[ni, ci, yi, xi]) - mu) * inv
+                    g = float(grad[ni, ci, yi, xi])
+                    out[ni, ci, yi, xi] = float(gamma[ci]) * xhat + float(beta[ci])
+                    gb[ci] += g
+                    gg[ci] += g * xhat
+        for ni in range(n):
+            for yi in range(h):
+                for xi in range(w):
+                    xhat = (float(x[ni, ci, yi, xi]) - mu) * inv
+                    g = float(grad[ni, ci, yi, xi])
+                    gx[ni, ci, yi, xi] = float(gamma[ci]) * inv * (g - gb[ci] / m
+                                                                  - xhat * gg[ci] / m)
+        new_mean[ci] = (1 - momentum) * float(running_mean[ci]) + momentum * mu
+        new_var[ci] = (1 - momentum) * float(running_var[ci]) + momentum * var
+    return out, new_mean, new_var, gx, gg, gb
+
+
+def naive_batchnorm2d_eval(x, gamma, beta, grad, running_mean, running_var, eps=1e-5):
+    """Eval-mode batch norm element by element in float64: returns (out, gx,
+    ggamma, gbeta) for an upstream gradient ``grad``."""
+    n, c, h, w = x.shape
+    out = np.zeros(x.shape)
+    gx = np.zeros(x.shape)
+    gg = np.zeros(c)
+    gb = np.zeros(c)
+    for ni in range(n):
+        for ci in range(c):
+            inv = 1.0 / math.sqrt(float(running_var[ci]) + eps)
+            for yi in range(h):
+                for xi in range(w):
+                    xhat = (float(x[ni, ci, yi, xi]) - float(running_mean[ci])) * inv
+                    g = float(grad[ni, ci, yi, xi])
+                    out[ni, ci, yi, xi] = float(gamma[ci]) * xhat + float(beta[ci])
+                    gx[ni, ci, yi, xi] = g * float(gamma[ci]) * inv
+                    gg[ci] += g * xhat
+                    gb[ci] += g
+    return out, gx, gg, gb
+
+
 def _sigmoid(v):
     if v >= 0:
         return 1.0 / (1.0 + math.exp(-v))

@@ -147,10 +147,6 @@ class TestAugment:
         out = D.augment(img, rng, hflip=False, vflip=False, rotate=False)
         assert np.array_equal(out, img)
 
-    def test_double_hflip_identity(self):
-        img = _img(5)
-        assert np.array_equal(img[:, :, ::-1][:, :, ::-1], img)
-
     def test_zero_rotation_identity(self):
         img = _img(6)
         out = D.rotate_bilinear(img, 0.0)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from shipnet import layers as L
 from shipnet import tensor as T
 
-from oracles import (naive_conv2d, naive_conv2d_vjp, naive_maxpool2d,
-                     naive_maxpool2d_vjp)
+from oracles import (naive_batchnorm2d_eval, naive_batchnorm2d_train, naive_conv2d,
+                     naive_conv2d_vjp, naive_maxpool2d, naive_maxpool2d_vjp)
 
 
 def _rand(shape, seed, scale=1.0, dtype=np.float64):
@@ -126,10 +126,42 @@ class TestConv2d:
                 assert np.max(np.abs(got - ref)) < 1e-4, spec
             seen.update({("groups=c>1", groups == c > 1), ("k1 gaps", k == 1 and stride == 2),
                          ("dilation 2", dil == 2), ("pad > kernel", pad == 3 > k),
-                         ("n", n)})
+                         ("n", n), ("channel-major columns", k == 1 and pad == 0)})
             checked += 1
         assert {("groups=c>1", True), ("k1 gaps", True), ("dilation 2", True),
-                ("pad > kernel", True), ("n", 1), ("n", 2)} <= seen
+                ("pad > kernel", True), ("n", 1), ("n", 2),
+                ("channel-major columns", True), ("channel-major columns", False)} <= seen
+
+    @pytest.mark.parametrize("spec, hw, x_grad", [
+        # unpadded 1x1, strided and grouped: channel-major columns
+        (L.Conv2dSpec(4, 6, 1, stride=2, groups=2), (7, 6), True),
+        # k x k at stride 2: batch-innermost columns
+        (L.Conv2dSpec(3, 4, 3, stride=2, padding=1), (7, 8), True),
+        # dilated depthwise with a channel multiplier
+        (L.Conv2dSpec(4, 8, 3, padding=2, dilation=2, groups=4, bias=False), (6, 5), True),
+        # the stem geometry, whose input takes no gradient
+        (L.Conv2dSpec(3, 8, 7, stride=2, padding=3, bias=False), (12, 11), False),
+    ])
+    def test_batch_of_five_matches_naive_oracle(self, spec, hw, x_grad):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((5, spec.in_channels) + hw).astype(np.float32)
+        w = (rng.standard_normal(spec.weight_shape()) * 0.5).astype(np.float32)
+        b = (rng.standard_normal(spec.out_channels) * 0.2).astype(np.float32)
+        bias = T.Tensor(b, requires_grad=True) if spec.bias else None
+        out = L.conv2d(T.Tensor(x, requires_grad=x_grad), T.Tensor(w, requires_grad=True),
+                       bias, spec)
+        ref = naive_conv2d(x, w, b if spec.bias else None, spec.stride, spec.padding,
+                           spec.dilation, spec.groups)
+        assert out.shape == ref.shape and np.max(np.abs(out.data - ref)) < 1e-4
+        grad = rng.standard_normal(ref.shape).astype(np.float32)
+        grads = out._vjp(grad)
+        refs = naive_conv2d_vjp(x, w, grad, spec.stride, spec.padding, spec.dilation,
+                                spec.groups)
+        if not x_grad:
+            assert grads[0] is None
+        for got, want in zip(grads[int(not x_grad):], refs[int(not x_grad):]):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-4
 
     def test_im2col_equals_matmul_form_base_case(self):
         # stride 1, pad 0, dilation 1, groups 1: conv equals explicit im2col matmul
@@ -224,6 +256,46 @@ class TestBatchNorm:
         for seed in range(5):
             bn(T.Tensor(_rand((3, 2, 4, 4), seed, dtype=np.float32)))
         assert np.all(bn.running_var.data >= 0)
+
+
+def _bn_case(c, n, hw, seed):
+    rng = np.random.default_rng(seed)
+    bn = L.BatchNorm2d(c, momentum=0.3, dtype=np.float64)
+    bn.gamma.data = rng.uniform(0.5, 2.0, c)
+    bn.beta.data = rng.standard_normal(c)
+    bn.running_mean.data = rng.standard_normal(c)
+    bn.running_var.data = rng.uniform(0.5, 2.0, c)
+    # per-channel offsets and scales, so a statistic taken from the wrong
+    # channel shows
+    x = rng.standard_normal((n, c) + hw) * rng.uniform(0.5, 3.0, (1, c, 1, 1))
+    x += rng.uniform(-2.0, 2.0, (1, c, 1, 1))
+    grad = rng.standard_normal(x.shape) + rng.uniform(-1.0, 1.0, (1, c, 1, 1))
+    return bn, x, grad
+
+
+class TestBatchNormOracle:
+    CASES = [(n, hw) for n in (1, 2, 5) for hw in ((1, 1), (2, 2), (3, 5))]
+
+    @pytest.mark.parametrize("n, hw", CASES)
+    def test_train_matches_naive_oracle(self, n, hw):
+        bn, x, grad = _bn_case(3, n, hw, seed=n * 10 + hw[1])
+        ref = naive_batchnorm2d_train(x, bn.gamma.data, bn.beta.data, grad,
+                                      bn.running_mean.data, bn.running_var.data,
+                                      momentum=bn.momentum, eps=bn.eps)
+        out = bn(T.Tensor(x, requires_grad=True))
+        got = (out.data, bn.running_mean.data, bn.running_var.data) + out._vjp(grad)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and np.allclose(g, r, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n, hw", CASES)
+    def test_eval_matches_naive_oracle(self, n, hw):
+        bn, x, grad = _bn_case(4, n, hw, seed=n * 10 + hw[1] + 100)
+        bn.eval()
+        ref = naive_batchnorm2d_eval(x, bn.gamma.data, bn.beta.data, grad,
+                                     bn.running_mean.data, bn.running_var.data, eps=bn.eps)
+        out = bn(T.Tensor(x, requires_grad=True))
+        for g, r in zip((out.data,) + out._vjp(grad), ref):
+            assert g.shape == r.shape and np.allclose(g, r, rtol=1e-9, atol=1e-9)
 
 
 def _bn_with(bn, x, gamma, beta):

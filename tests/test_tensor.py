@@ -173,6 +173,15 @@ class TestShapeOps:
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert np.array_equal(out.data, expected)
 
+    def test_upsample2x_vjp_equals_the_reshape_sum(self):
+        rng = np.random.default_rng(3)
+        a = T.Tensor(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64, requires_grad=True)
+        g = rng.standard_normal((2, 3, 8, 10))
+        (T.upsample2x(a) * T.Tensor(g)).sum().backward()
+        assert a.grad.dtype == np.float64
+        assert np.allclose(a.grad, g.reshape(2, 3, 4, 2, 5, 2).sum(axis=(-3, -1)),
+                           rtol=0, atol=1e-12)
+
     def test_reshape_roundtrip_grad(self):
         x = T.from_buffer((2, 3), [1, 2, 3, 4, 5, 6], dtype=np.float64,
                           requires_grad=True)

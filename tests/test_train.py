@@ -243,6 +243,30 @@ class TestCheckpoint:
         TR.checkpoint_save(TR.checkpoint_load(p1), p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize("variant", ["baseline", "cbam", "enhanced"])
+    def test_load_fills_every_tensor_without_drawing_an_init(self, tmp_path, monkeypatch,
+                                                               variant):
+        state = self._state(variant)
+        rng = np.random.default_rng(1)
+        for _, buf in state.model.named_buffers():
+            buf.data = rng.uniform(0.5, 2.0, buf.shape).astype(buf.dtype)
+        p1 = str(tmp_path / "a.ckpt")
+        p2 = str(tmp_path / "b.ckpt")
+        TR.checkpoint_save(state, p1)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("checkpoint_load drew an initialization")
+
+        monkeypatch.setattr(T, "normal", draw)
+        loaded = TR.checkpoint_load(p1)
+        want = dict(state.model.named_parameters(), **dict(state.model.named_buffers()))
+        got = dict(loaded.model.named_parameters(), **dict(loaded.model.named_buffers()))
+        assert got.keys() == want.keys()
+        for name, t in want.items():
+            assert got[name].dtype == t.dtype and np.array_equal(got[name].data, t.data), name
+        TR.checkpoint_save(loaded, p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+
     def test_config_mismatch_rejected(self, tmp_path):
         state = self._state("cbam")
         path = str(tmp_path / "a.ckpt")
