@@ -86,8 +86,7 @@ class SpatialAttention(Module):
 class CBAM(Module):
     """Sequential channel-then-spatial multiplicative gating.
 
-    ``bypass`` forces both gates to 1, making the block an exact identity;
-    the last computed gates are exposed for visualization.
+    ``bypass`` forces both gates to 1, making the block an exact identity.
     """
 
     def __init__(self, channels, rng, reduction_ratio=16, spatial_kernel=7,
@@ -101,25 +100,12 @@ class CBAM(Module):
         else:
             self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dtype=dtype)
         self.bypass = False
-        self.last_channel_gate = None
-        self.last_spatial_gate = None
 
     def forward(self, x):
         if self.bypass:
-            # gates forced to exactly 1; the feature map is untouched
-            n, c, h, w = x.shape
-            self.last_channel_gate = np.ones((n, c, 1, 1), dtype=x.dtype)
-            self.last_spatial_gate = np.ones((n, 1, h, w), dtype=x.dtype)
             return x
-        cg = self.channel(x)
-        x = x * cg
-        sg = self.spatial(x)
-        x = x * sg
-        # snapshots for visualization; plain arrays so they are neither
-        # parameters nor graph references
-        self.last_channel_gate = cg.data
-        self.last_spatial_gate = sg.data
-        return x
+        x = x * self.channel(x)
+        return x * self.spatial(x)
 
 
 def set_attention_bypass(model, on):

@@ -16,7 +16,7 @@ from .data import (dataset_mean_std, exclude_small_classes, normalize,
 from .gradcheck import run_sweep
 from .heatmap import METHODS, gradcam_map, overlay_emit, spatial_gate_map
 from .metrics import confusion_csv, render_table, report_to_json, round2
-from .models import layer_spec_dump
+from .models import STAGES, layer_spec_dump
 from .synthetic import FAMILIES, generate_synthetic
 from .train import checkpoint_load, evaluate, fit
 
@@ -84,19 +84,19 @@ def _emit_run_metadata(out_dir, cfg):
            f"created_unix={time.time():.3f}\n")
 
 
-def _load_dataset(cfg, out_dir=None):
+def _load_dataset(cfg, out_dir, num_classes):
     ds, report = scan_directory(cfg.data_dir, lenient=cfg.lenient_scan)
-    if report.skipped and out_dir is not None:
+    if report.skipped:
         _write(os.path.join(out_dir, "cleaning_report.txt"), report.render())
     if cfg.exclude_below > 0:
         ds, dropped = exclude_small_classes(ds, ratio=cfg.split_ratio,
                                             threshold=cfg.exclude_below)
-        if dropped and out_dir is not None:
+        if dropped:
             _write(os.path.join(out_dir, "excluded_classes.txt"),
                    "".join(f"{c}\n" for c in dropped))
-    if len(ds.classes) != cfg.num_classes:
-        raise CliError(f"dataset has {len(ds.classes)} classes but config expects "
-                       f"num_classes={cfg.num_classes}")
+    if len(ds.classes) != num_classes:
+        raise CliError(f"dataset has {len(ds.classes)} classes but the model has "
+                       f"num_classes={num_classes}")
     return ds
 
 
@@ -169,7 +169,7 @@ def cmd_train(args):
                            "--force would clear; resume into another directory")
     out_dir = _prepare_out_dir(cfg.out_dir, args.force)
     _emit_run_metadata(out_dir, cfg)
-    ds = _load_dataset(cfg, out_dir)
+    ds = _load_dataset(cfg, out_dir, cfg.num_classes)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_path=args.resume)
     return 0
@@ -180,7 +180,8 @@ def cmd_eval(args):
     state = checkpoint_load(args.checkpoint)
     out_dir = _prepare_out_dir(cfg.out_dir, args.force)
     _emit_run_metadata(out_dir, cfg)
-    ds = _load_dataset(cfg, out_dir)
+    # the class count, like the model and the resize, comes from the checkpoint
+    ds = _load_dataset(cfg, out_dir, state.config.num_classes)
     if args.split != "full":
         train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
         ds = train_set if args.split == "train" else test_set
@@ -197,7 +198,7 @@ def cmd_compare(args):
     cfg = _load_config(args)
     out_dir = _prepare_out_dir(cfg.out_dir, args.force)
     _emit_run_metadata(out_dir, cfg)
-    ds = _load_dataset(cfg, out_dir)
+    ds = _load_dataset(cfg, out_dir, cfg.num_classes)
     # one shared split and seed across all variants
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     rows = []
@@ -218,8 +219,6 @@ def cmd_compare(args):
 
 
 def cmd_heatmap(args):
-    if args.method not in METHODS:
-        raise CliError(f"--method must be one of {METHODS}")
     state = checkpoint_load(args.checkpoint)
     model = state.model
     if args.method == "spatial-gate" and not state.config.cbam_stages:
@@ -297,9 +296,9 @@ def build_parser():
     h = subs.add_parser("heatmap", help="export attention/grad-cam overlays")
     h.add_argument("--checkpoint", required=True)
     h.add_argument("--image", required=True, help="a .ppm file or a directory of them")
-    h.add_argument("--method", default="spatial-gate")
+    h.add_argument("--method", choices=METHODS, default="spatial-gate")
     h.add_argument("--out", required=True)
-    h.add_argument("--stage", type=int, default=None)
+    h.add_argument("--stage", type=int, choices=STAGES, default=None)
     h.add_argument("--target-class", type=int, default=None)
     h.set_defaults(fn=cmd_heatmap)
 

@@ -27,7 +27,7 @@ def _leaf(shape, rng, scale=1.0):
     return T.Tensor(rng.standard_normal(shape) * scale, dtype=F64, requires_grad=True)
 
 
-def _module_check(module, make_loss, rng, extra_inputs=()):
+def _module_check(module, make_loss, extra_inputs=()):
     params = [p for _, p in module.named_parameters()]
     inputs = list(extra_inputs) + params
     return T.grad_check(make_loss, inputs)
@@ -118,7 +118,7 @@ def check_dwsep(rng):
     mod = DepthwiseSeparableConv2d(4, 6, 3, T.make_rng(0), padding=1, dtype=F64)
     x = _leaf((2, 4, 5, 5), rng)
     r = _proj((2, 6, 5, 5), rng)
-    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x])
+    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), [x])
 
 
 def check_batchnorm(rng):
@@ -126,9 +126,9 @@ def check_batchnorm(rng):
     bn.train()
     x = _leaf((4, 2, 3, 3), rng)
     r = _proj((4, 2, 3, 3), rng)
-    worst = _module_check(bn, lambda *args: (bn(args[0]) * r).sum(), rng, [x])
+    worst = _module_check(bn, lambda *args: (bn(args[0]) * r).sum(), [x])
     bn.eval()
-    worst = max(worst, _module_check(bn, lambda *args: (bn(args[0]) * r).sum(), rng, [x]))
+    worst = max(worst, _module_check(bn, lambda *args: (bn(args[0]) * r).sum(), [x]))
     return worst
 
 
@@ -154,7 +154,7 @@ def check_linear(rng):
     mod = Linear(5, 3, T.make_rng(1), dtype=F64)
     x = _leaf((4, 5), rng)
     r = _proj((4, 3), rng)
-    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x])
+    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), [x])
 
 
 def check_cross_entropy(rng):
@@ -167,7 +167,7 @@ def check_channel_attention(rng):
     mod = ChannelAttention(8, 4, T.make_rng(2), dtype=F64)
     x = _leaf((2, 8, 4, 4), rng)
     r = _proj((2, 8, 1, 1), rng)
-    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x])
+    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), [x])
 
 
 def check_spatial_attention(rng):
@@ -179,7 +179,7 @@ def check_spatial_attention(rng):
         x = _leaf((2, 4, 5, 5), rng)
         r = _proj((2, 1, 5, 5), rng)
         worst = max(worst, _module_check(
-            mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x]))
+            mod, lambda *args: (mod(args[0]) * r).sum(), [x]))
     return worst
 
 
@@ -187,7 +187,7 @@ def check_cbam_block(rng):
     mod = CBAM(8, T.make_rng(4), reduction_ratio=4, spatial_kernel=3, dtype=F64)
     x = _leaf((2, 8, 4, 4), rng)
     r = _proj((2, 8, 4, 4), rng)
-    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x])
+    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), [x])
 
 
 def check_bottleneck(rng):
@@ -198,7 +198,7 @@ def check_bottleneck(rng):
     mod.train()
     x = _leaf((2, 8, 6, 6), rng)
     r = _proj((2, 16, 3, 3), rng)
-    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), rng, [x])
+    return _module_check(mod, lambda *args: (mod(args[0]) * r).sum(), [x])
 
 
 SWEEP = (

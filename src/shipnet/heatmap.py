@@ -7,51 +7,57 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import encode_ppm, resize_bilinear
+from .data import resize_bilinear, write_ppm
+from .layers import watch
+from .models import STAGES
 
 METHODS = ("spatial-gate", "gradcam")
 
 
-def _forward_capture(model, img_norm):
-    x = T.Tensor(img_norm[None].astype(np.float32))
-    capture = {}
-    logits = model.forward(x, capture=capture)
-    return logits, capture
+def _forward(model, img_norm, module):
+    """Logits of one image and the output ``module`` gave in that forward."""
+    kept = []
 
+    def keep(mod, args, out):
+        if mod is module:
+            kept.append(out)
 
-def _last_gate_key(capture, stage, kind):
-    keys = sorted(k for k in capture
-                  if k.startswith(f"stage{stage}.") and k.endswith(kind))
-    return keys[-1] if keys else None
+    with watch(keep):
+        logits = model(T.Tensor(img_norm[None].astype(np.float32)))
+    return logits, kept[0]
 
 
 def spatial_gate_map(model, img_norm, stage=None):
-    """The [H,W] spatial attention gate of a stage's last attention block,
-    bilinear-upsampled to input resolution. Values are already in (0,1)."""
+    """The [H,W] spatial attention gate of a stage's last attention block
+    (by default the deepest stage that has one), bilinear-upsampled to input
+    resolution. Values are already in (0,1); a bypassed block gives 1."""
+    if stage not in (None,) + STAGES:
+        raise ValueError(f"stage {stage!r} is not one of {STAGES}")
     model.eval()
+    cbams = [b.cbam for s in STAGES if stage in (None, s)
+             for b in getattr(model, f"stage{s}").items if b.cbam is not None]
+    if not cbams:
+        raise ValueError("model has no spatial attention gate"
+                         + (f" in stage {stage}" if stage is not None else ""))
+    cbam = cbams[-1]
+    # a bypassed block runs no spatial gate; its [C,h,w] output gives the extents
     with T.no_grad():
-        _, capture = _forward_capture(model, img_norm)
-    stages = [stage] if stage is not None else [5, 4, 3, 2]
-    for s in stages:
-        key = _last_gate_key(capture, s, "spatial_gate")
-        if key is not None:
-            gate = capture[key]  # [1,1,h,w]
-            gmap = gate[0]
-            return resize_bilinear(gmap, img_norm.shape[1:])[0]
-    raise ValueError("model has no spatial attention gate"
-                     + (f" in stage {stage}" if stage is not None else ""))
+        out = _forward(model, img_norm, cbam if cbam.bypass else cbam.spatial)[1].data[0]
+    gate = np.ones_like(out[:1]) if cbam.bypass else out
+    return resize_bilinear(gate, img_norm.shape[1:])[0]
 
 
 def gradcam_map(model, img_norm, stage=5, target_class=None):
     """relu of the gradient-channel-weighted stage activation, min-max
     scaled to [0,1] (an all-zero map stays zero), at input resolution."""
+    if stage not in STAGES:
+        raise ValueError(f"stage {stage!r} is not one of {STAGES}")
     model.eval()
-    logits, capture = _forward_capture(model, img_norm)
+    logits, act = _forward(model, img_norm, getattr(model, f"stage{stage}"))
     if target_class is None:
         target_class = int(logits.data[0].argmax())
     if not 0 <= target_class < logits.shape[1]:
         raise ValueError(f"class {target_class} out of range")
-    act = capture[f"stage{stage}"]
     score = logits[0, target_class]
     score.backward()
     grads = act.grad[0]          # [C,h,w]
@@ -87,7 +93,5 @@ def overlay(img, heat):
 
 def overlay_emit(img, heat, path):
     """Write the blended overlay as a P6 file."""
-    blended = overlay(img, heat)
-    with open(path, "wb") as fh:
-        fh.write(encode_ppm(blended))
+    write_ppm(path, overlay(img, heat))
     return path

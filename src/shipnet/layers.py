@@ -12,6 +12,8 @@ and cross entropy are fused ops with hand-written backward rules.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from . import tensor as T
@@ -19,6 +21,20 @@ from .tensor import Tensor
 
 
 # ---- module base ------------------------------------------------------------
+
+_hook = None
+
+
+@contextmanager
+def watch(hook):
+    """Inside the block, ``Module.__call__`` calls ``hook(module, args, output)``
+    after each forward; the previous hook is restored on exit."""
+    global _hook
+    prev, _hook = _hook, hook
+    try:
+        yield
+    finally:
+        _hook = prev
 
 
 class Module:
@@ -32,7 +48,10 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        if _hook is not None:
+            _hook(self, args, out)
+        return out
 
     def children(self):
         for name, value in vars(self).items():
@@ -136,9 +155,6 @@ class Conv2dSpec:
     def weight_shape(self):
         kh, kw = self.kernel
         return (self.out_channels, self.in_channels // self.groups, kh, kw)
-
-    def weight_count(self):
-        return int(np.prod(self.weight_shape())) + (self.out_channels if self.bias else 0)
 
     def output_size(self, h, w):
         ho = conv_output_extent(h, self.kernel[0], self.stride[0], self.padding[0], self.dilation[0])
@@ -245,9 +261,7 @@ class Conv2d(Module):
                      if spec.bias else None)
 
     def forward(self, x):
-        out = conv2d(x, self.weight, self.bias, self.spec)
-        self.last_io = (tuple(x.shape), tuple(out.shape))
-        return out
+        return conv2d(x, self.weight, self.bias, self.spec)
 
 
 class DepthwiseSeparableConv2d(Module):
@@ -301,7 +315,6 @@ class BatchNorm2d(Module):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects [N,{self.channels},H,W], got {x.shape}")
-        self.last_io = (tuple(x.shape), tuple(x.shape))
         if self.training:
             return self._forward_train(x)
         return self._forward_eval(x)
@@ -413,9 +426,7 @@ class MaxPool2d(Module):
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
     def forward(self, x):
-        out = maxpool2d(x, self.kernel, self.stride, self.padding)
-        self.last_io = (tuple(x.shape), tuple(out.shape))
-        return out
+        return maxpool2d(x, self.kernel, self.stride, self.padding)
 
 
 def global_pool(x, kind="avg"):
@@ -442,7 +453,6 @@ class Linear(Module):
         out = T.matmul(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
-        self.last_io = (tuple(x.shape), tuple(out.shape))
         return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .attention import CBAM
 from .layers import (BatchNorm2d, Conv2d, Conv2dSpec, DepthwiseSeparableConv2d,
-                     Linear, MaxPool2d, Module, conv_output_extent, global_pool)
+                     Linear, MaxPool2d, Module, conv_output_extent, global_pool, watch)
 
 VARIANTS = ("baseline", "cbam", "enhanced")
 STAGES = (2, 3, 4, 5)
@@ -263,8 +263,8 @@ class MultiscaleFusion(Module):
 
 
 class ShipClassifier(Module):
-    """Backbone + head for one configured variant; exposes named stage
-    outputs and attention gates for visualization."""
+    """Backbone + head for one configured variant; stage outputs and
+    attention gates are read through ``layers.watch``."""
 
     def __init__(self, config, seed, dtype=np.float32):
         super().__init__()
@@ -312,35 +312,22 @@ class ShipClassifier(Module):
     def stages(self):
         return [self.stage2, self.stage3, self.stage4, self.stage5]
 
-    def forward(self, x, capture=None):
+    def forward(self, x):
         if x.ndim != 4 or x.shape[1] != 3:
             raise ValueError(f"expected [N,3,H,W] input, got {x.shape}")
         if (x.shape[2], x.shape[3]) != tuple(self.config.input_size):
             raise ValueError(
                 f"input spatial size {x.shape[2:]} != configured {self.config.input_size}")
         out = self.stem_pool(self.stem_bn(self.stem_conv(x)).relu())
-        if capture is not None:
-            capture["stem"] = out
         feats = {}
         for stage, blocks in zip(STAGES, self.stages):
             out = blocks(out)
             feats[stage] = out
-            if capture is not None:
-                capture[f"stage{stage}"] = out
-                for b, block in enumerate(blocks.items):
-                    if block.cbam is not None and block.cbam.last_spatial_gate is not None:
-                        capture[f"stage{stage}.{b}.channel_gate"] = block.cbam.last_channel_gate
-                        capture[f"stage{stage}.{b}.spatial_gate"] = block.cbam.last_spatial_gate
         if self.fusion is not None:
             out = self.fusion(feats[3], feats[4], feats[5])
-            if capture is not None:
-                capture["fused"] = out
         pooled = global_pool(out, "avg")
         flat = pooled.reshape((pooled.shape[0], pooled.shape[1]))
-        logits = self.head(flat)
-        if T.debug_checks_enabled() and not np.all(np.isfinite(logits.data)):
-            raise FloatingPointError("non-finite logits")
-        return logits
+        return self.head(flat)
 
 
 class _Sequential(Module):
@@ -380,15 +367,23 @@ _DUMP_KINDS = {
 def layer_spec_dump(model):
     """One line per leaf layer: ``name kind shape-in shape-out params``.
 
-    Requires a prior forward pass (shapes are recorded during execution).
+    Shapes come from an eval-mode, no-grad forward of one zero image, so the
+    batch extent is 1; a layer that did not run (a bypassed attention block)
+    shows ``-``. Every module's train/eval mode is restored afterwards, and
+    eval mode leaves parameters and running statistics untouched.
     """
-    lines = []
-    for name, mod in model.modules():
-        kind = _DUMP_KINDS.get(type(mod))
-        if kind is None:
-            continue
-        io = getattr(mod, "last_io", None)
-        shape_in = "x".join(str(s) for s in io[0]) if io else "-"
-        shape_out = "x".join(str(s) for s in io[1]) if io else "-"
-        lines.append(f"{name} {kind} {shape_in} {shape_out} {mod.param_count()}")
+    shapes = {}
+
+    def record(mod, args, out):
+        if type(mod) in _DUMP_KINDS:
+            shapes[mod] = " ".join("x".join(str(s) for s in t.shape) for t in (args[0], out))
+
+    modes = [(mod, mod.training) for _, mod in model.modules()]
+    model.eval()
+    with T.no_grad(), watch(record):
+        model(T.zeros((1, 3) + tuple(model.config.input_size), dtype=model.dtype))
+    for mod, training in modes:
+        mod.training = training
+    lines = [f"{name} {_DUMP_KINDS[type(mod)]} {shapes.get(mod, '- -')} {mod.param_count()}"
+             for name, mod in model.modules() if type(mod) in _DUMP_KINDS]
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .data import encode_ppm
+from .data import write_ppm
 
 FAMILIES = ("bulk_carrier", "cargo", "container", "oil_tanker")
 
@@ -134,7 +134,6 @@ def generate_synthetic(out_dir, per_class, size=64, seed=42, classes=None):
                 np.random.SeedSequence(entropy=seed, spawn_key=(ci, i))))
             img = render_ship(family, size, rng)
             path = os.path.join(cdir, f"img_{i:05d}.ppm")
-            with open(path, "wb") as fh:
-                fh.write(encode_ppm(img))
+            write_ppm(path, img)
             paths.append(path)
     return paths

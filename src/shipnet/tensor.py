@@ -26,10 +26,6 @@ def set_debug_checks(on):
     _debug_checks = bool(on)
 
 
-def debug_checks_enabled():
-    return _debug_checks
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference, optimizer math)."""
@@ -94,9 +90,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.size == 1 else _fail_scalar(self)
-
-    def numpy(self):
-        return self.data
 
     def zero_grad(self):
         self.grad = None

@@ -200,6 +200,9 @@ def evaluate(model, samples, spec, classes):
     with T.no_grad():
         for x, y in iter_batches(samples, spec, train=False, epoch=0, shuffle=False):
             logits = model.forward(x)
+            if logits.shape[1] != k:
+                raise ValueError(f"model scores {logits.shape[1]} classes, "
+                                 f"the evaluation set has {k}")
             total_loss += cross_entropy(logits, y).item() * len(y)
             pred = logits.data.argmax(axis=1)
             np.add.at(confusion, (y, pred), 1)

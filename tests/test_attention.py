@@ -3,6 +3,7 @@ import pytest
 
 from shipnet import tensor as T
 from shipnet.attention import CBAM, ChannelAttention, SpatialAttention, set_attention_bypass
+from shipnet.layers import watch
 
 from oracles import (naive_channel_attention, naive_improved_spatial_attention,
                      naive_spatial_attention)
@@ -154,9 +155,17 @@ class TestCBAMBlock:
 
     def test_improved_variant_runs_and_gates_in_range(self):
         mod = CBAM(8, T.make_rng(5), reduction_ratio=4, improved=True)
-        out = mod(T.Tensor(_rand((2, 8, 6, 6), 6)))
+        gates = []
+
+        def keep(m, args, out):
+            if m is mod.spatial:
+                gates.append(out.data)
+
+        with watch(keep):
+            out = mod(T.Tensor(_rand((2, 8, 6, 6), 6)))
         assert out.shape == (2, 8, 6, 6)
-        assert np.all(mod.last_spatial_gate > 0) and np.all(mod.last_spatial_gate < 1)
+        gate, = gates
+        assert np.all(gate > 0) and np.all(gate < 1)
 
     def test_set_attention_bypass_walks_tree(self):
         from shipnet.layers import Module

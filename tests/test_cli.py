@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ import shipnet
 from shipnet.cli import main
 from shipnet.config import RunConfig
 from shipnet.data import decode_ppm, read_ppm
+from shipnet.heatmap import METHODS
 from shipnet.metrics import round2
+from shipnet.models import ModelConfig, build_model
+from shipnet.train import AdamState, TrainState, checkpoint_save
 
 MICRO_SETS = ["--set", "preset=tiny", "--set", "input_size=32",
               "--set", "base_width=8", "--set", "reduction_ratio=4",
@@ -159,9 +163,9 @@ class TestTrainRunDir:
         assert "best.txt" in ckpts
 
     def test_timestamps_confined_to_metadata(self, trained_run):
-        meta = open(os.path.join(trained_run, "metadata.txt")).read()
+        meta = Path(trained_run, "metadata.txt").read_text()
         assert meta.startswith("created_unix=")
-        config = open(os.path.join(trained_run, "config.txt")).read()
+        config = Path(trained_run, "config.txt").read_text()
         assert "created" not in config
 
     def test_refuses_overwrite_without_force(self, trained_run, corpus):
@@ -170,13 +174,49 @@ class TestTrainRunDir:
         assert code == 2
 
     def test_log_has_per_epoch_lines(self, trained_run):
-        lines = open(os.path.join(trained_run, "epochs.log")).read().splitlines()
+        lines = Path(trained_run, "epochs.log").read_text().splitlines()
         assert lines[0].split("\t") == ["epoch", "lr", "train_loss", "train_acc",
                                         "val_loss", "val_acc"]
         assert len(lines) == 3
 
 
+def _checkpoint(path, num_classes, favoured=None):
+    """An untrained cbam checkpoint, optionally scoring one class highest."""
+    cfg = ModelConfig.make("cbam", preset="tiny", input_size=(32, 32), base_width=8,
+                           reduction_ratio=4, spatial_kernel=3, num_classes=num_classes)
+    model = build_model(cfg, seed=0)
+    if favoured is not None:
+        model.head.bias.data[favoured] = 50.0
+    checkpoint_save(TrainState(model=model, config=cfg, adam=AdamState()), str(path))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def corpus3(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus3")
+    assert main(["gen-synth", "--classes", "3", "--per-class", "4", "--size", "32",
+                 "--seed", "7", "--out", str(root / "data")]) == 0
+    return str(root / "data")
+
+
 class TestEval:
+    def test_checkpoint_class_count_mismatch_exits_2(self, tmp_path, corpus3, capsys):
+        ckpt = _checkpoint(tmp_path / "four.ckpt", 4, favoured=3)
+        code = main(["eval", "--checkpoint", ckpt, "--data", corpus3,
+                     "--out", str(tmp_path / "e"), "--set", "num_classes=3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "3 classes" in err and "num_classes=4" in err
+
+    def test_class_count_comes_from_the_checkpoint(self, tmp_path, corpus3):
+        ckpt = _checkpoint(tmp_path / "three.ckpt", 3)
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", ckpt, "--data", corpus3,
+                     "--out", str(out)]) == 0
+        import json
+        assert sum(json.loads((out / "report.json").read_text())["support"]) == 12
+
     def test_eval_on_test_split(self, tmp_path, corpus, trained_run):
         ckpt = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
         out = str(tmp_path / "eval")
@@ -185,7 +225,7 @@ class TestEval:
         assert code == 0
         assert os.path.exists(os.path.join(out, "report.json"))
         import json
-        payload = json.loads(open(os.path.join(out, "report.json")).read())
+        payload = json.loads(Path(out, "report.json").read_text())
         assert sum(payload["support"]) == 12  # 25% of 48 at the 80:20 split
 
     def test_missing_checkpoint_fails(self, tmp_path, corpus):
@@ -201,7 +241,7 @@ class TestHeatmapCli:
         out = str(tmp_path / "h.ppm")
         assert main(["heatmap", "--checkpoint", ckpt, "--image", img,
                      "--method", "spatial-gate", "--out", out]) == 0
-        overlay = decode_ppm(open(out, "rb").read())
+        overlay = decode_ppm(Path(out).read_bytes())
         assert overlay.shape == (3, 32, 32)
 
     def test_gradcam_batch_mode(self, tmp_path, corpus, trained_run):
@@ -225,11 +265,24 @@ class TestHeatmapCli:
                      "--method", "spatial-gate", "--out", str(tmp_path / "x.ppm")])
         assert code == 2
 
-    def test_bad_method(self, tmp_path, trained_run, corpus):
+    def test_bad_method(self, tmp_path, trained_run, corpus, capsys):
         ckpt = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
         img = os.path.join(corpus, "cargo", "img_00000.ppm")
         assert main(["heatmap", "--checkpoint", ckpt, "--image", img,
                      "--method", "saliency", "--out", str(tmp_path / "x.ppm")]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("stage", ["1", "7"])
+    def test_stage_outside_the_backbone_exits_2(self, tmp_path, trained_run, corpus, capsys,
+                                                 method, stage):
+        ckpt = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
+        img = os.path.join(corpus, "cargo", "img_00000.ppm")
+        out = tmp_path / "x.ppm"
+        assert main(["heatmap", "--checkpoint", ckpt, "--image", img, "--method", method,
+                     "--stage", stage, "--out", str(out)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:
@@ -239,7 +292,7 @@ class TestCompare:
                      "--batch-size", "8", "--lr", "1e-3", "--seed", "5"]
                     + MICRO_SETS)
         assert code == 0
-        tsv = open(os.path.join(out, "compare.tsv")).read().splitlines()
+        tsv = Path(out, "compare.tsv").read_text().splitlines()
         assert tsv[0] == "variant\ttest_accuracy\tmacro_f1"
         assert [line.split("\t")[0] for line in tsv[1:]] == [
             "baseline", "cbam", "enhanced"]
@@ -310,7 +363,7 @@ class TestFailureModes:
                                                             trained_run, command):
         ckpt = tmp_path / "truncated.ckpt"
         src = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
-        ckpt.write_bytes(open(src, "rb").read()[:300])
+        ckpt.write_bytes(Path(src).read_bytes()[:300])
         if command == "eval":
             args = ["--data", corpus, "--out", str(tmp_path / "e")] + MICRO_SETS
         else:

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from shipnet import heatmap as H
 from shipnet import tensor as T
 from shipnet.data import decode_ppm
+from shipnet.layers import watch
 from shipnet.models import ModelConfig, build_model
 
 from oracles import naive_gradcam
@@ -14,6 +17,19 @@ MICRO = dict(stage_blocks=(1, 1, 1, 1), base_width=8, input_size=(32, 32),
 
 def _img(seed, size=32):
     return np.random.default_rng(seed).random((3, size, size)).astype(np.float32)
+
+
+def _output_of(model, x, module):
+    """Logits of ``x`` and the output of ``module`` in that forward."""
+    kept = []
+
+    def keep(mod, args, out):
+        if mod is module:
+            kept.append(out)
+
+    with watch(keep):
+        logits = model(x)
+    return logits, kept[0]
 
 
 def _cbam_model(seed=0):
@@ -44,11 +60,9 @@ class TestSpatialGateMap:
     def test_gate_max_location_invariant_to_channel_permutation(self):
         model = _cbam_model(seed=3)
         x = _img(4)
-        cap = {}
         model.eval()
         with T.no_grad():
-            model.forward(T.Tensor(x[None]), capture=cap)
-        feat = cap["stage4"].data
+            feat = _output_of(model, T.Tensor(x[None]), model.stage4)[1].data
         gate_block = model.stage5.items[0]
 
         def spatial_only(f):
@@ -67,6 +81,11 @@ class TestSpatialGateMap:
         set_attention_bypass(model, True)
         heat = H.spatial_gate_map(model, _img(12))
         assert np.all(heat == 1.0)
+
+    @pytest.mark.parametrize("stage", [1, 7])
+    def test_stage_outside_the_backbone_rejected(self, stage):
+        with pytest.raises(ValueError, match=r"not one of \(2, 3, 4, 5\)"):
+            H.spatial_gate_map(_cbam_model(), _img(0), stage=stage)
 
     def test_baseline_has_no_gates(self):
         model = build_model(ModelConfig.make("baseline", **MICRO), seed=0)
@@ -94,9 +113,7 @@ class TestGradcamMap:
         img = _img(5)
         model.eval()
         x = T.Tensor(img[None])
-        cap = {}
-        logits = model.forward(x, capture=cap)
-        act = cap["stage5"]
+        logits, act = _output_of(model, x, model.stage5)
         logits[0, 2].backward()
         ref_small = naive_gradcam(act.data[0].astype(np.float64),
                                   act.grad[0].astype(np.float64))
@@ -106,6 +123,11 @@ class TestGradcamMap:
         from shipnet.data import resize_bilinear
         up = resize_bilinear(ref_small[None].astype(np.float32), (32, 32))[0]
         assert np.max(np.abs(heat - up)) < 1e-5
+
+    @pytest.mark.parametrize("stage", [1, 7, None])
+    def test_stage_outside_the_backbone_rejected(self, stage):
+        with pytest.raises(ValueError, match=r"not one of \(2, 3, 4, 5\)"):
+            H.gradcam_map(_cbam_model(), _img(0), stage=stage)
 
     def test_invariant_to_non_target_bias_shift(self):
         model = _cbam_model(seed=4)
@@ -154,7 +176,7 @@ class TestOverlay:
         heat = np.random.default_rng(1).random((32, 32)).astype(np.float32)
         path = str(tmp_path / "overlay.ppm")
         H.overlay_emit(img, heat, path)
-        back = decode_ppm(open(path, "rb").read())
+        back = decode_ppm(Path(path).read_bytes())
         assert back.shape == (3, 32, 32)
         assert np.max(np.abs(back - np.clip(H.overlay(img, heat), 0, 1))) <= 0.5 / 255 + 1e-6
 

@@ -15,6 +15,54 @@ def _rand(shape, seed, scale=1.0, dtype=np.float64):
     return rng.standard_normal(shape).astype(dtype) * scale
 
 
+class TestWatch:
+    def _call(self, mod):
+        return mod(T.Tensor(np.ones((1, 3), dtype=np.float32)))
+
+    def test_hook_sees_each_call_inside_the_block_only(self):
+        mod = L.Linear(3, 2, T.make_rng(0))
+        seen = []
+        self._call(mod)
+        with L.watch(lambda m, args, out: seen.append((m, args, out))):
+            out = self._call(mod)
+        self._call(mod)
+        assert len(seen) == 1
+        m, args, hooked = seen[0]
+        assert m is mod and args[0].shape == (1, 3) and hooked is out
+
+    def test_children_are_seen_before_their_parent(self):
+        mod = L.DepthwiseSeparableConv2d(2, 3, 3, T.make_rng(0), padding=1)
+        seen = []
+        with L.watch(lambda m, args, out: seen.append(m)):
+            mod(T.Tensor(np.ones((1, 2, 4, 4), dtype=np.float32)))
+        assert seen == [mod.depthwise, mod.pointwise, mod]
+
+    def test_nested_block_restores_the_outer_hook(self):
+        mod = L.Linear(3, 2, T.make_rng(0))
+        outer, inner = [], []
+        with L.watch(lambda m, args, out: outer.append(m)):
+            with L.watch(lambda m, args, out: inner.append(m)):
+                self._call(mod)
+            self._call(mod)
+        self._call(mod)
+        assert inner == [mod] and outer == [mod]
+
+    def test_hook_restored_when_the_block_raises(self):
+        mod = L.Linear(3, 2, T.make_rng(0))
+        outer = []
+
+        def failing(m, args, out):
+            raise RuntimeError("hook failed")
+
+        with L.watch(lambda m, args, out: outer.append(m)):
+            with pytest.raises(RuntimeError, match="hook failed"):
+                with L.watch(failing):
+                    self._call(mod)
+            self._call(mod)
+        self._call(mod)
+        assert outer == [mod]
+
+
 class TestConv2d:
     def test_1x1_identity_kernel(self):
         x = T.from_buffer((1, 1, 3, 3), np.arange(1, 10))
@@ -181,9 +229,9 @@ class TestDepthwiseSeparable:
     def test_parameter_count_arithmetic(self):
         mod = L.DepthwiseSeparableConv2d(64, 64, 3, T.make_rng(0), padding=1, bias=False)
         assert mod.param_count() == 576 + 4096
-        dense = L.Conv2dSpec(64, 64, 3, padding=1, bias=False)
-        assert dense.weight_count() == 36864
-        assert mod.param_count() < dense.weight_count()
+        dense = L.Conv2d(L.Conv2dSpec(64, 64, 3, padding=1, bias=False), None)
+        assert dense.param_count() == 36864
+        assert mod.param_count() < dense.param_count()
 
     def test_delta_kernel_identity(self):
         c = 3
@@ -446,9 +494,12 @@ class TestCrossEntropy:
 
 class TestParamCountLaw:
     def test_conv_spec_counts(self):
-        assert L.Conv2dSpec(2, 4, 3, bias=True).weight_count() == 76
-        assert L.Conv2dSpec(2, 4, 3, bias=False).weight_count() == 72
-        assert L.Conv2dSpec(4, 8, (3, 5), groups=2, bias=False).weight_count() == 8 * 2 * 15
+        def count(spec):
+            return L.Conv2d(spec, None).param_count()
+
+        assert count(L.Conv2dSpec(2, 4, 3, bias=True)) == 76
+        assert count(L.Conv2dSpec(2, 4, 3, bias=False)) == 72
+        assert count(L.Conv2dSpec(4, 8, (3, 5), groups=2, bias=False)) == 8 * 2 * 15
 
     @given(cin=st.sampled_from([2, 4, 8]), mult=st.integers(1, 3),
            k=st.sampled_from([1, 3]), bias=st.booleans(), depthwise=st.booleans())
@@ -457,6 +508,5 @@ class TestParamCountLaw:
         groups = cin if depthwise else 1
         cout = cin * mult
         spec = L.Conv2dSpec(cin, cout, k, groups=groups, bias=bias)
-        conv = L.Conv2d(spec, T.make_rng(0))
-        explicit = sum(p.size for _, p in conv.named_parameters())
-        assert spec.weight_count() == explicit
+        explicit = cout * (cin // groups) * k * k + (cout if bias else 0)
+        assert L.Conv2d(spec, None).param_count() == explicit

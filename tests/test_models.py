@@ -3,11 +3,31 @@ import pytest
 
 from shipnet import models as M
 from shipnet import tensor as T
+from shipnet import train as TR
 from shipnet.attention import set_attention_bypass
+from shipnet.layers import watch
 
 
 def _input(batch, size, seed=0):
     return T.normal((batch, 3, size, size), 1.0, T.make_rng(seed))
+
+
+def _outputs(model, x, modules):
+    """Per name, the output the module under it gave in a forward of ``x``."""
+    names = {mod: name for name, mod in modules.items()}
+    outs = {}
+
+    def keep(mod, args, out):
+        if mod in names:
+            outs[names[mod]] = out
+
+    with watch(keep):
+        model(x)
+    return outs
+
+
+def _stages(model):
+    return {f"stage{s}": getattr(model, f"stage{s}") for s in M.STAGES}
 
 
 def _share_weights(dst, src):
@@ -110,8 +130,9 @@ class TestForward:
     def test_capture_exposes_stages_and_gates(self):
         cfg = M.ModelConfig.make("cbam", **MICRO)
         model = M.build_model(cfg, seed=0).eval()
-        cap = {}
-        model.forward(_input(1, 32), capture=cap)
+        modules = dict(_stages(model), stem=model.stem_pool)
+        modules["stage5.0.spatial_gate"] = model.stage5.items[0].cbam.spatial
+        cap = _outputs(model, _input(1, 32), modules)
         for key in ("stem", "stage2", "stage3", "stage4", "stage5"):
             assert key in cap
         assert "stage5.0.spatial_gate" in cap
@@ -145,8 +166,7 @@ class TestResidualStructure:
                 block.bn3.gamma.data[:] = 0
                 block.bn3.beta.data[:] = 0
         x = _input(1, 32, seed=2)
-        cap = {}
-        model.forward(x, capture=cap)
+        cap = _outputs(model, x, dict(_stages(model), stem=model.stem_pool))
         stem = cap["stem"]
         out = stem
         for stage in model.stages:
@@ -178,14 +198,12 @@ class TestMultiscaleFusion:
         model, _ = self._model()
         for lat in model.fusion.laterals:
             lat.weight.data[:] = 0
-        cap = {}
-        model.forward(_input(1, 32, seed=5), capture=cap)
+        cap = _outputs(model, _input(1, 32, seed=5), {"fused": model.fusion})
         assert np.allclose(cap["fused"].data, 0.0)
 
     def test_single_branch_identity_of_sum(self):
         model, _ = self._model()
-        cap1 = {}
-        model.forward(_input(1, 32, seed=6), capture=cap1)
+        cap1 = _outputs(model, _input(1, 32, seed=6), _stages(model))
         f3, f4, f5 = cap1["stage3"], cap1["stage4"], cap1["stage5"]
         fusion = model.fusion
         with T.no_grad():
@@ -200,16 +218,15 @@ class TestMultiscaleFusion:
 
     def test_fused_shape_at_stage3_resolution(self):
         model, cfg = self._model()
-        cap = {}
-        model.forward(_input(2, 32, seed=7), capture=cap)
+        cap = _outputs(model, _input(2, 32, seed=7), {"fused": model.fusion})
         h3, w3 = cfg.stage_sizes()["stage3"]
         assert cap["fused"].shape == (2, cfg.fusion_width, h3, w3)
 
 
 class TestParamCount:
     def test_single_conv_arithmetic(self):
-        from shipnet.layers import Conv2dSpec
-        assert Conv2dSpec(2, 4, 3, bias=True).weight_count() == 76
+        from shipnet.layers import Conv2d, Conv2dSpec
+        assert Conv2d(Conv2dSpec(2, 4, 3, bias=True), None).param_count() == 76
 
     def test_dwsep_strictly_reduces_block_count(self):
         base = M.ModelConfig.make("baseline", **MICRO)
@@ -229,6 +246,35 @@ class TestParamCount:
         dump = M.layer_spec_dump(model)
         recount = sum(int(line.split()[-1]) for line in dump.strip().splitlines())
         assert recount == model.param_count()
+
+
+class TestLayerSpecDump:
+    @pytest.mark.parametrize("variant", ["baseline", "cbam", "enhanced"])
+    def test_loaded_model_lists_batch_one_shapes(self, tmp_path, variant):
+        cfg = M.ModelConfig.make(variant, **MICRO)
+        path = str(tmp_path / "m.ckpt")
+        TR.checkpoint_save(TR.TrainState(model=M.build_model(cfg, seed=0), config=cfg,
+                                         adam=TR.AdamState()), path)
+        lines = M.layer_spec_dump(TR.checkpoint_load(path).model).splitlines()
+        assert lines[0] == "stem_conv conv 1x3x32x32 1x8x16x16 1176"
+        head_in = cfg.fusion_width if cfg.multiscale_fusion else cfg.stage_channels(5)
+        assert lines[-1] == f"head linear 1x{head_in} 1x4 {(head_in + 1) * 4}"
+        for line in lines:
+            _, _, shape_in, shape_out, _ = line.split()
+            assert shape_in.startswith("1x") and shape_out.startswith("1x")
+
+    def test_dump_leaves_modes_parameters_and_buffers_unchanged(self):
+        model = M.build_model(M.ModelConfig.make("enhanced", **MICRO), seed=2).train()
+        model.forward(_input(4, 32))  # running statistics away from their init
+        model.stage3.eval()
+        modes = [mod.training for _, mod in model.modules()]
+        state = {name: t.data.copy() for name, t in
+                 list(model.named_parameters()) + list(model.named_buffers())}
+        M.layer_spec_dump(model)
+        assert [mod.training for _, mod in model.modules()] == modes
+        for name, t in list(model.named_parameters()) + list(model.named_buffers()):
+            assert np.array_equal(t.data, state[name]), name
+        assert all(p.grad is None for p in model.parameters())
 
 
 class TestShapeSoundnessSweep:

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ class TestEvaluate:
         assert np.array_equal(r1.confusion, r2.confusion)
         assert l1 == pytest.approx(l2, abs=1e-5)
 
+    def test_class_count_mismatch_rejected(self):
+        model = build_model(micro_config(), seed=5)
+        model.head.bias.data[3] = 50.0  # every image scores class 3 highest
+        ds = micro_dataset(per_class=2, classes=3)
+        with pytest.raises(ValueError, match="4 classes.*has 3"):
+            TR.evaluate(model, ds.samples, micro_spec(), ds.classes)
+
 
 class TestArgmaxTieBreak:
     def test_lowest_index_wins(self):
@@ -241,7 +249,7 @@ class TestCheckpoint:
         p2 = str(tmp_path / "b.ckpt")
         TR.checkpoint_save(state, p1)
         TR.checkpoint_save(TR.checkpoint_load(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("variant", ["baseline", "cbam", "enhanced"])
     def test_load_fills_every_tensor_without_drawing_an_init(self, tmp_path, monkeypatch,
@@ -265,7 +273,7 @@ class TestCheckpoint:
         for name, t in want.items():
             assert got[name].dtype == t.dtype and np.array_equal(got[name].data, t.data), name
         TR.checkpoint_save(loaded, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_config_mismatch_rejected(self, tmp_path):
         state = self._state("cbam")
@@ -464,7 +472,7 @@ class TestCheckpointValidation:
             TR.checkpoint_load(self._saved(tmp_path, orphan))
 
     def test_missing_metadata_and_config_keys_are_value_errors(self, tmp_path):
-        raw = open(self._saved(tmp_path), "rb").read()
+        raw = Path(self._saved(tmp_path)).read_bytes()
         for key in (b"\nseed=42\n", b"\nvariant=cbam\n"):
             assert key in raw
             # same length, so the block sizes still hold
@@ -485,7 +493,7 @@ def _checkpoint_bytes():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.ckpt")
         TR.checkpoint_save(TestCheckpoint()._state(), path)
-        return open(path, "rb").read()
+        return Path(path).read_bytes()
 
 
 CHECKPOINT = _checkpoint_bytes()
