@@ -77,27 +77,36 @@ def _write(path, text):
         fh.write(text)
 
 
-def _emit_run_metadata(out_dir, cfg):
-    _write(os.path.join(out_dir, "config.txt"), cfg.echo())
-    # the only file carrying wall-clock state
-    _write(os.path.join(out_dir, "metadata.txt"),
-           f"created_unix={time.time():.3f}\n")
-
-
-def _load_dataset(cfg, out_dir, num_classes):
+def _load_dataset(cfg, num_classes):
+    """Scan the data, drop small classes and check the class count, writing
+    nothing; returns the dataset and the notes (file name -> text) that
+    ``_start_run`` saves beside the run."""
     ds, report = scan_directory(cfg.data_dir, lenient=cfg.lenient_scan)
+    notes = {}
     if report.skipped:
-        _write(os.path.join(out_dir, "cleaning_report.txt"), report.render())
+        notes["cleaning_report.txt"] = report.render()
     if cfg.exclude_below > 0:
         ds, dropped = exclude_small_classes(ds, ratio=cfg.split_ratio,
                                             threshold=cfg.exclude_below)
         if dropped:
-            _write(os.path.join(out_dir, "excluded_classes.txt"),
-                   "".join(f"{c}\n" for c in dropped))
+            notes["excluded_classes.txt"] = "".join(f"{c}\n" for c in dropped)
     if len(ds.classes) != num_classes:
         raise CliError(f"dataset has {len(ds.classes)} classes but the model has "
                        f"num_classes={num_classes}")
-    return ds
+    return ds, notes
+
+
+def _start_run(cfg, force, notes):
+    """The run directory with config.txt, metadata.txt and the data notes;
+    called once the data has passed its checks, so a rejected run writes
+    nothing."""
+    out_dir = _prepare_out_dir(cfg.out_dir, force)
+    _write(os.path.join(out_dir, "config.txt"), cfg.echo())
+    # the only file carrying wall-clock state
+    _write(os.path.join(out_dir, "metadata.txt"), f"created_unix={time.time():.3f}\n")
+    for name, text in notes.items():
+        _write(os.path.join(out_dir, name), text)
+    return out_dir
 
 
 def _resolve_norm(cfg, samples):
@@ -167,9 +176,8 @@ def cmd_train(args):
         if os.path.commonpath([out, os.path.realpath(args.resume)]) == out:
             raise CliError(f"--resume {args.resume} lies inside {cfg.out_dir}, which "
                            "--force would clear; resume into another directory")
-    out_dir = _prepare_out_dir(cfg.out_dir, args.force)
-    _emit_run_metadata(out_dir, cfg)
-    ds = _load_dataset(cfg, out_dir, cfg.num_classes)
+    ds, notes = _load_dataset(cfg, cfg.num_classes)
+    out_dir = _start_run(cfg, args.force, notes)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_path=args.resume)
     return 0
@@ -178,10 +186,9 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _load_config(args)
     state = checkpoint_load(args.checkpoint)
-    out_dir = _prepare_out_dir(cfg.out_dir, args.force)
-    _emit_run_metadata(out_dir, cfg)
     # the class count, like the model and the resize, comes from the checkpoint
-    ds = _load_dataset(cfg, out_dir, state.config.num_classes)
+    ds, notes = _load_dataset(cfg, state.config.num_classes)
+    out_dir = _start_run(cfg, args.force, notes)
     if args.split != "full":
         train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
         ds = train_set if args.split == "train" else test_set
@@ -196,9 +203,8 @@ def cmd_eval(args):
 
 def cmd_compare(args):
     cfg = _load_config(args)
-    out_dir = _prepare_out_dir(cfg.out_dir, args.force)
-    _emit_run_metadata(out_dir, cfg)
-    ds = _load_dataset(cfg, out_dir, cfg.num_classes)
+    ds, notes = _load_dataset(cfg, cfg.num_classes)
+    out_dir = _start_run(cfg, args.force, notes)
     # one shared split and seed across all variants
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     rows = []

@@ -58,9 +58,8 @@ def gradcam_map(model, img_norm, stage=5, target_class=None):
         target_class = int(logits.data[0].argmax())
     if not 0 <= target_class < logits.shape[1]:
         raise ValueError(f"class {target_class} out of range")
-    score = logits[0, target_class]
-    score.backward()
-    grads = act.grad[0]          # [C,h,w]
+    (act_grad,) = T.grad(logits[0, target_class], [act])
+    grads = act_grad[0]          # [C,h,w]
     acts = act.data[0]
     weights = grads.mean(axis=(1, 2))
     cam = np.maximum((weights[:, None, None] * acts).sum(axis=0), 0.0)

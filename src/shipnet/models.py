@@ -347,15 +347,6 @@ def build_model(config, seed, dtype=np.float32):
     return ShipClassifier(config, seed, dtype)
 
 
-def parameter_checksum(model):
-    import hashlib
-    digest = hashlib.sha256()
-    for name, p in sorted(model.named_parameters()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
 _DUMP_KINDS = {
     Conv2d: "conv",
     BatchNorm2d: "batchnorm",

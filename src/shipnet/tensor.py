@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are contiguous numpy float32/float64 buffers. Every differentiable
-operation records its parents and a vector-Jacobian closure; ``backward`` on a
-scalar walks the recorded graph once in reverse topological order and
-accumulates gradients additively into every tensor that requires them.
+operation records its parents and a vector-Jacobian closure. One reverse walk
+from a scalar runs the closures in reverse topological order and frees each
+once it has run, so a graph is walked once: ``Tensor.backward`` fills ``grad``
+on leaves only, and ``grad(output, wrt)`` returns interior gradients.
 """
 
 from __future__ import annotations
@@ -111,48 +112,71 @@ class Tensor:
         return out
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad tensor reachable from here.
+        """Accumulate into ``grad`` of each requires_grad leaf this scalar
+        depends on; interior tensors get no ``grad`` (see ``grad``). At most
+        once per graph."""
+        for leaf, g in _walk(self, None):
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
-        Must be called on a scalar (size-1) tensor, at most once per graph.
-        """
-        if self.size != 1:
-            raise RuntimeError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self._done:
+
+def grad(output, wrt):
+    """d(output)/d(t) for each tensor ``t`` in ``wrt``, None where the scalar
+    ``output`` does not depend on it; runs only the vjps between the two and
+    writes no ``grad``."""
+    wrt = list(wrt)
+    found = {id(t): g for t, g in _walk(output, wrt)}
+    return [found.get(id(t)) for t in wrt]
+
+
+def _walk(output, wrt):
+    """The reverse walk behind ``backward`` (``wrt`` None: every leaf) and
+    ``grad``. Runs the vjps on paths from ``output`` to ``wrt`` in reverse
+    topological order, each once its gradient is complete, then drops that
+    node's vjp and parents. Returns (tensor, gradient) for the leaves or
+    ``wrt`` tensors reached."""
+    if output.size != 1:
+        raise RuntimeError(f"backward requires a scalar loss, got shape {output.shape}")
+    if not output.requires_grad:
+        raise RuntimeError("loss does not require grad; nothing to differentiate")
+    targets = {id(t) for t in wrt or ()}
+    order, visited, live = [], set(), set()
+    stack = [(output, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)  # after all of its parents
+            if wrt is None or id(node) in targets or any(id(p) in live for p in node._parents):
+                live.add(id(node))
+            continue
+        if id(node) in visited:
+            continue
+        if node._done:
             raise RuntimeError("backward already ran on this graph; rebuild the loss first")
-        if not self.requires_grad:
-            raise RuntimeError("loss does not require grad; nothing to differentiate")
-        self._done = True
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents
+                     if p.requires_grad and id(p) not in visited)
+    output._done = True
 
-        order = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-
-        pending = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            node.grad = g if node.grad is None else node.grad + g
-            if node._vjp is None:
-                continue
+    found = []
+    pending = {id(output): np.ones_like(output.data)} if id(output) in live else {}
+    while order:
+        node = order.pop()
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        parents = node._parents
+        walk_on = any(id(p) in live for p in parents)
+        if id(node) in targets or not walk_on:
+            found.append((node, g))
+        if walk_on:
             parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                key = id(p)
-                pending[key] = pg if key not in pending else pending[key] + pg
+            node._vjp, node._parents, node._done = None, (), True
+            for p, pg in zip(parents, parent_grads):
+                if pg is not None and id(p) in live:
+                    key = id(p)
+                    pending[key] = pg if key not in pending else pending[key] + pg
+    return found
 
 
 def _fail_scalar(t):
@@ -174,31 +198,11 @@ def zeros(shape, dtype=np.float32, requires_grad=False):
     return Tensor(np.zeros(_check_extents(shape), dtype=_as_dtype(dtype)), requires_grad)
 
 
-def full(shape, value, dtype=np.float32, requires_grad=False):
-    return Tensor(np.full(_check_extents(shape), value, dtype=_as_dtype(dtype)), requires_grad)
-
-
-def from_buffer(shape, values, dtype=np.float32, requires_grad=False):
-    shape = _check_extents(shape)
-    arr = np.asarray(values, dtype=_as_dtype(dtype)).reshape(-1)
-    n = int(np.prod(shape))
-    if arr.size != n:
-        raise ValueError(f"buffer length {arr.size} does not match product(shape) {n}")
-    return Tensor(arr.reshape(shape), requires_grad)
-
-
 def make_rng(seed):
     """Deterministic generator for an integer seed; passes Generators through."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def uniform(shape, bound, rng, dtype=np.float32, requires_grad=False):
-    """Samples from uniform[-bound, bound), deterministic per seed."""
-    rng = make_rng(rng)
-    arr = rng.uniform(-bound, bound, size=_check_extents(shape)).astype(_as_dtype(dtype))
-    return Tensor(arr, requires_grad)
 
 
 def normal(shape, std, rng, dtype=np.float32, requires_grad=False):
@@ -522,12 +526,10 @@ def grad_check(f, inputs, eps=1e-5):
     for t in inputs:
         if not t.requires_grad:
             raise ValueError("grad_check inputs must require grad")
-        t.zero_grad()
     loss = f(*inputs)
     if loss.size != 1:
         raise ValueError("grad_check needs a scalar-valued function")
-    loss.backward()
-    analytic = [t.grad.reshape(-1).copy() for t in inputs]
+    analytic = [g.reshape(-1).copy() for g in grad(loss, inputs)]
 
     max_err = 0.0
     with no_grad():

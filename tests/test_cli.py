@@ -209,6 +209,15 @@ class TestEval:
         assert err.startswith("error:") and "Traceback" not in err
         assert "3 classes" in err and "num_classes=4" in err
 
+    def test_rejected_run_writes_nothing_so_the_rerun_needs_no_force(self, tmp_path, corpus3,
+                                                                     corpus):
+        ckpt = _checkpoint(tmp_path / "four.ckpt", 4)
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", ckpt, "--data", corpus3, "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert main(["eval", "--checkpoint", ckpt, "--data", corpus, "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+
     def test_class_count_comes_from_the_checkpoint(self, tmp_path, corpus3):
         ckpt = _checkpoint(tmp_path / "three.ckpt", 3)
         out = tmp_path / "e"

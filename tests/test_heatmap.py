@@ -6,7 +6,7 @@ import pytest
 from shipnet import heatmap as H
 from shipnet import tensor as T
 from shipnet.data import decode_ppm
-from shipnet.layers import watch
+from shipnet.layers import global_pool, watch
 from shipnet.models import ModelConfig, build_model
 
 from oracles import naive_gradcam
@@ -112,11 +112,16 @@ class TestGradcamMap:
         model = _cbam_model(seed=3)
         img = _img(5)
         model.eval()
-        x = T.Tensor(img[None])
-        logits, act = _output_of(model, x, model.stage5)
-        logits[0, 2].backward()
+        with T.no_grad():
+            act = _output_of(model, T.Tensor(img[None]), model.stage5)[1]
+        # reference gradient: the head (a cbam model has no fusion) run again
+        # on a leaf copy of the stage-5 activation
+        assert model.fusion is None
+        leaf = T.Tensor(act.data, requires_grad=True)
+        pooled = global_pool(leaf, "avg")
+        model.head(pooled.reshape(pooled.shape[:2]))[0, 2].backward()
         ref_small = naive_gradcam(act.data[0].astype(np.float64),
-                                  act.grad[0].astype(np.float64))
+                                  leaf.grad[0].astype(np.float64))
         heat = H.gradcam_map(model, img, stage=5, target_class=2)
         h, w = ref_small.shape
         # compare at the native stage resolution (before upsampling)
@@ -137,6 +142,16 @@ class TestGradcamMap:
         model.head.bias.data[3] -= 2.0
         h2 = H.gradcam_map(model, img, stage=5, target_class=0)
         assert np.array_equal(h1, h2)
+
+    @pytest.mark.parametrize("variant", ["baseline", "cbam", "enhanced"])
+    def test_leaves_parameter_grads_as_found(self, variant):
+        model = build_model(ModelConfig.make(variant, **MICRO), seed=6)
+        params = list(model.parameters())
+        for i, p in enumerate(params):
+            p.grad = np.full_like(p.data, 7.0) if i % 2 else None
+        before = [p.grad for p in params]
+        H.gradcam_map(model, _img(13), stage=2, target_class=1)
+        assert all(p.grad is g for p, g in zip(params, before))
 
     def test_predicted_class_default(self):
         model = _cbam_model(seed=5)

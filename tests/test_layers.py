@@ -65,13 +65,13 @@ class TestWatch:
 
 class TestConv2d:
     def test_1x1_identity_kernel(self):
-        x = T.from_buffer((1, 1, 3, 3), np.arange(1, 10))
+        x = T.Tensor(np.arange(1, 10).reshape(1, 1, 3, 3))
         w = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
         out = L.conv2d(x, w, None, L.Conv2dSpec(1, 1, 1, bias=False))
         assert np.array_equal(out.data, x.data)
 
     def test_window_sum(self):
-        x = T.from_buffer((1, 1, 3, 3), np.arange(1, 10))
+        x = T.Tensor(np.arange(1, 10).reshape(1, 1, 3, 3))
         w = T.Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         out = L.conv2d(x, w, None, L.Conv2dSpec(1, 1, 3, bias=False))
         assert out.shape == (1, 1, 1, 1)
@@ -262,7 +262,7 @@ class TestDepthwiseSeparable:
 class TestBatchNorm:
     def test_constant_input_zeros(self):
         bn = L.BatchNorm2d(3)
-        out = bn(T.full((2, 3, 4, 4), 5.0))
+        out = bn(T.Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32)))
         assert np.allclose(out.data, 0.0, atol=1e-3)
 
     def test_gamma_zero_gives_beta(self):
@@ -284,7 +284,7 @@ class TestBatchNorm:
 
     def test_single_sample_1x1_spatial_train(self):
         bn = L.BatchNorm2d(2)
-        out = bn(T.full((1, 2, 1, 1), 3.0))
+        out = bn(T.Tensor(np.full((1, 2, 1, 1), 3.0, dtype=np.float32)))
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data, 0.0, atol=1e-2)  # zero variance clamped by eps
 
@@ -353,11 +353,11 @@ def _bn_with(bn, x, gamma, beta):
 
 class TestMaxPool:
     def test_2x2(self):
-        out = L.maxpool2d(T.from_buffer((1, 1, 2, 2), [1, 2, 3, 4]), 2, 2)
+        out = L.maxpool2d(T.Tensor(np.asarray([1, 2, 3, 4]).reshape(1, 1, 2, 2)), 2, 2)
         assert out.data.ravel()[0] == 4
 
     def test_constant_input(self):
-        out = L.maxpool2d(T.full((1, 2, 4, 4), 3.0), 2, 2)
+        out = L.maxpool2d(T.Tensor(np.full((1, 2, 4, 4), 3.0, dtype=np.float32)), 2, 2)
         assert np.all(out.data == 3.0)
 
     def test_matches_naive_oracle(self):
@@ -373,8 +373,8 @@ class TestMaxPool:
         assert np.array_equal(out.data, ref.astype(np.float32))
 
     def test_backward_routes_to_first_argmax(self):
-        x = T.from_buffer((1, 1, 2, 2), [5, 5, 1, 1], dtype=np.float64,
-                          requires_grad=True)
+        x = T.Tensor(np.asarray([5, 5, 1, 1]).reshape(1, 1, 2, 2), dtype=np.float64,
+                     requires_grad=True)
         L.maxpool2d(x, 2, 2).sum().backward()
         assert np.array_equal(x.grad.ravel(), [1, 0, 0, 0])
 
@@ -409,11 +409,11 @@ class TestMaxPool:
 
 class TestGlobalPool:
     def test_avg(self):
-        x = T.from_buffer((1, 1, 2, 2), [1, 3, 5, 7])
+        x = T.Tensor(np.asarray([1, 3, 5, 7]).reshape(1, 1, 2, 2))
         assert L.global_pool(x, "avg").data.ravel()[0] == 4
 
     def test_max_constant(self):
-        x = T.full((2, 3, 4, 4), 2.5)
+        x = T.Tensor(np.full((2, 3, 4, 4), 2.5, dtype=np.float32))
         assert np.all(L.global_pool(x, "max").data == 2.5)
 
     def test_avg_equals_mean_reduce(self):
@@ -434,7 +434,7 @@ class TestLinear:
         mod = L.Linear(2, 1, T.make_rng(0))
         mod.weight.data = np.array([[1.0], [1.0]], dtype=np.float32)
         mod.bias.data = np.array([1.0], dtype=np.float32)
-        out = mod(T.from_buffer((1, 2), [1, 2]))
+        out = mod(T.Tensor([[1, 2]]))
         assert out.data.ravel()[0] == 4
 
     def test_grads_vs_finite_differences(self):
@@ -460,7 +460,7 @@ class TestCrossEntropy:
     def test_known_scalar_case(self):
         # independent recomputation: -ln(e^2 / (e^2 + 3)) = ln(e^2 + 3) - 2
         expected = np.log(np.exp(2.0) + 3.0) - 2.0
-        loss = L.cross_entropy(T.from_buffer((1, 4), [2, 0, 0, 0], dtype=np.float64), [0])
+        loss = L.cross_entropy(T.Tensor([[2, 0, 0, 0]], dtype=np.float64), [0])
         assert loss.item() == pytest.approx(expected, abs=1e-9)
         assert round(loss.item(), 4) == 0.3408
 

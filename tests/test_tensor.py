@@ -15,34 +15,24 @@ class TestCreate:
         assert np.array_equal(t.data, np.zeros((2, 2)))
 
     def test_buffer_identity(self):
-        t = T.from_buffer((3,), [1, 2, 3])
+        t = T.Tensor([1, 2, 3])
+        assert t.dtype == np.float32
         assert np.array_equal(t.data, [1, 2, 3])
-
-    def test_buffer_length_mismatch(self):
-        with pytest.raises(ValueError):
-            T.from_buffer((3,), [1, 2])
 
     def test_zero_extent(self):
         with pytest.raises(ValueError):
             T.zeros((2, 0))
 
     def test_rng_deterministic_per_seed(self):
-        a = T.uniform((1000,), 1.0, 7)
-        b = T.uniform((1000,), 1.0, 7)
+        a = T.normal((1000,), 1.0, 7)
+        b = T.normal((1000,), 1.0, 7)
         assert np.array_equal(a.data, b.data)
-        c = T.normal((1000,), 1.0, 7)
-        d = T.normal((1000,), 1.0, 7)
-        assert np.array_equal(c.data, d.data)
-        assert not np.array_equal(a.data, T.uniform((1000,), 1.0, 8).data)
-
-    def test_uniform_bound(self):
-        a = T.uniform((1000,), 0.5, 3)
-        assert a.data.min() >= -0.5 and a.data.max() < 0.5
+        assert not np.array_equal(a.data, T.normal((1000,), 1.0, 8).data)
 
 
 class TestBroadcastBinary:
     def test_add(self):
-        out = T.from_buffer((3,), [1, 2, 3]) + T.from_buffer((3,), [1, 1, 1])
+        out = T.Tensor([1, 2, 3]) + T.Tensor([1, 1, 1])
         assert np.array_equal(out.data, [2, 3, 4])
 
     def test_mul_identity(self):
@@ -84,11 +74,11 @@ class TestBroadcastBinary:
 class TestMatmul:
     def test_identity(self):
         eye = T.Tensor(np.eye(2, dtype=np.float32))
-        m = T.from_buffer((2, 2), [1, 2, 3, 4])
+        m = T.Tensor([[1, 2], [3, 4]])
         assert np.array_equal((eye @ m).data, m.data)
 
     def test_row_times_column(self):
-        out = T.from_buffer((1, 2), [1, 2]) @ T.from_buffer((2, 1), [3, 4])
+        out = T.Tensor([[1, 2]]) @ T.Tensor([[3], [4]])
         assert out.data.ravel()[0] == 11
 
     def test_shape_mismatch(self):
@@ -106,14 +96,14 @@ class TestMatmul:
 
 class TestReduce:
     def test_sum_all(self):
-        assert T.from_buffer((4,), [1, 2, 3, 4]).sum().item() == 10
+        assert T.Tensor([1, 2, 3, 4]).sum().item() == 10
 
     def test_mean_constant(self):
-        t = T.full((3, 5), 2.5)
+        t = T.Tensor(np.full((3, 5), 2.5, dtype=np.float32))
         assert t.mean().item() == pytest.approx(2.5)
 
     def test_max_tie_routes_to_first(self):
-        x = T.from_buffer((3,), [3, 1, 3], dtype=np.float64, requires_grad=True)
+        x = T.Tensor([3, 1, 3], dtype=np.float64, requires_grad=True)
         m = x.max()
         assert m.item() == 3
         m.backward()
@@ -139,7 +129,7 @@ class TestActivations:
         assert T.zeros((1,)).sigmoid().item() == 0.5
 
     def test_relu(self):
-        out = T.from_buffer((3,), [-1, 0, 2]).relu()
+        out = T.Tensor([-1, 0, 2]).relu()
         assert np.array_equal(out.data, [0, 0, 2])
 
     def test_sigmoid_derivative_at_zero(self):
@@ -153,7 +143,7 @@ class TestActivations:
         assert x.grad[0] == 0.0
 
     def test_sigmoid_extreme_inputs_finite(self):
-        out = T.from_buffer((2,), [-1000.0, 1000.0]).sigmoid()
+        out = T.Tensor([-1000.0, 1000.0], dtype=np.float32).sigmoid()
         assert np.all(np.isfinite(out.data))
         assert out.data[0] == pytest.approx(0.0)
         assert out.data[1] == pytest.approx(1.0)
@@ -161,15 +151,15 @@ class TestActivations:
 
 class TestShapeOps:
     def test_pad(self):
-        out = T.pad(T.from_buffer((1,), [1]), [(1, 1)])
+        out = T.pad(T.Tensor([1]), [(1, 1)])
         assert np.array_equal(out.data, [0, 1, 0])
 
     def test_concat(self):
-        out = T.concat([T.from_buffer((1,), [1]), T.from_buffer((1,), [2])], axis=0)
+        out = T.concat([T.Tensor([1]), T.Tensor([2])], axis=0)
         assert np.array_equal(out.data, [1, 2])
 
     def test_upsample2x_nearest(self):
-        out = T.upsample2x(T.from_buffer((2, 2), [1, 2, 3, 4]))
+        out = T.upsample2x(T.Tensor([[1, 2], [3, 4]]))
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert np.array_equal(out.data, expected)
 
@@ -183,25 +173,24 @@ class TestShapeOps:
                            rtol=0, atol=1e-12)
 
     def test_reshape_roundtrip_grad(self):
-        x = T.from_buffer((2, 3), [1, 2, 3, 4, 5, 6], dtype=np.float64,
-                          requires_grad=True)
+        x = T.Tensor(np.arange(1, 7).reshape(2, 3), dtype=np.float64, requires_grad=True)
         (x.reshape((6,)) * x.reshape((6,))).sum().backward()
         assert np.array_equal(x.grad, 2 * x.data)
 
     def test_slice_grad(self):
-        x = T.from_buffer((4,), [1, 2, 3, 4], dtype=np.float64, requires_grad=True)
+        x = T.Tensor([1, 2, 3, 4], dtype=np.float64, requires_grad=True)
         x[1:3].sum().backward()
         assert np.array_equal(x.grad, [0, 1, 1, 0])
 
 
 class TestBackward:
     def test_square_loss(self):
-        x = T.from_buffer((2,), [1, 2], dtype=np.float64, requires_grad=True)
+        x = T.Tensor([1, 2], dtype=np.float64, requires_grad=True)
         (x * x).sum().backward()
         assert np.array_equal(x.grad, [2, 4])
 
     def test_two_branches_accumulate(self):
-        x = T.from_buffer((2,), [1, 2], dtype=np.float64, requires_grad=True)
+        x = T.Tensor([1, 2], dtype=np.float64, requires_grad=True)
         (x.sum() + (x * x).sum()).backward()
         assert np.array_equal(x.grad, [1 + 2, 1 + 4])
 
@@ -224,10 +213,71 @@ class TestBackward:
         ((a * b).sum()).backward()
         assert a.grad is not None and b.grad is not None
 
+    def test_interior_gets_no_grad_and_the_tape_is_freed(self):
+        x = T.Tensor([1, 2], dtype=np.float64, requires_grad=True)
+        mid = x * x
+        loss = mid.sum()
+        loss.backward()
+        assert mid.grad is None and loss.grad is None
+        assert loss._parents == () and loss._vjp is None
+        assert mid._parents == () and mid._vjp is None
+
+
+def _two_branch_graph():
+    rng = T.make_rng(4)
+    a = T.normal((3,), 1.0, rng, dtype=np.float64, requires_grad=True)
+    b = T.normal((3,), 1.0, rng, dtype=np.float64, requires_grad=True)
+    mid = a * b
+    return a, b, mid, (mid.sigmoid() + mid * a).sum()
+
+
+class TestGrad:
+    def test_equals_backward_leaf_grads_and_writes_none(self):
+        a, b, _, loss = _two_branch_graph()
+        ga, gb = T.grad(loss, [a, b])
+        assert a.grad is None and b.grad is None
+        a2, b2, _, loss2 = _two_branch_graph()
+        loss2.backward()
+        assert np.array_equal(ga, a2.grad) and np.array_equal(gb, b2.grad)
+
+    def test_none_for_an_unrelated_tensor(self):
+        a, _, _, loss = _two_branch_graph()
+        other = T.Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
+        ga, g_other = T.grad(loss, [a, other])
+        assert ga is not None and g_other is None
+
+    def test_interior_grad_runs_no_vjp_below_it(self):
+        calls = []
+
+        def graph():
+            x = T.Tensor([1, 2], dtype=np.float64, requires_grad=True)
+
+            def vjp(g):
+                calls.append(g)
+                return (3 * g,)
+
+            mid = T.custom_op(3 * x.data, (x,), vjp) * x
+            return mid, (mid * mid).sum()
+
+        mid, loss = graph()
+        (g_mid,) = T.grad(loss, [mid])
+        assert calls == []
+        assert np.array_equal(g_mid, 2 * mid.data)
+        graph()[1].backward()
+        assert len(calls) == 1
+
+    def test_second_walk_rejected(self):
+        a, b, mid, loss = _two_branch_graph()
+        T.grad(loss, [mid])
+        with pytest.raises(RuntimeError, match="already ran"):
+            T.grad(loss, [a])
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+
 
 class TestGradCheck:
     def test_linear_function_exact(self):
-        x = T.from_buffer((4,), [1, 2, 3, 4], dtype=np.float64, requires_grad=True)
+        x = T.Tensor([1, 2, 3, 4], dtype=np.float64, requires_grad=True)
         assert T.grad_check(lambda t: t.sum(), [x]) < 1e-9
 
     def test_sigmoid_sum_at_zero(self):
@@ -284,7 +334,7 @@ class TestFixtureFormat:
             T.load_tensor(path)
 
     def test_header_layout(self, tmp_path):
-        t = T.from_buffer((2,), [1.0, 2.0])
+        t = T.Tensor([1.0, 2.0], dtype=np.float32)
         path = tmp_path / "t.cbnt"
         T.save_tensor(path, t)
         raw = path.read_bytes()
@@ -296,7 +346,7 @@ class TestFixtureFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.cbnt"
-        T.save_tensor(path, T.from_buffer((2,), [1.0, 2.0]))
+        T.save_tensor(path, T.Tensor([1.0, 2.0], dtype=np.float32))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             T.load_tensor(path)

@@ -11,10 +11,21 @@ from oracles import naive_augment
 from shipnet import tensor as T
 from shipnet import train as TR
 from shipnet.data import Dataset, Sample, validation_split
-from shipnet.models import ModelConfig, build_model, parameter_checksum
+from shipnet.models import ModelConfig, build_model
 
 MICRO = dict(stage_blocks=(1, 1, 1, 1), base_width=8, input_size=(32, 32),
              reduction_ratio=4, spatial_kernel=3, fusion_width=16)
+
+
+def parameters(model):
+    """Name -> a copy of each parameter array, for array-by-array comparison."""
+    return {name: p.data.copy() for name, p in model.named_parameters()}
+
+
+def assert_same_parameters(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def micro_config(variant="baseline"):
@@ -126,12 +137,12 @@ class TestTrainEpoch:
     def test_zero_lr_leaves_parameters_unchanged(self):
         config = micro_config()
         model = build_model(config, seed=1)
-        before = parameter_checksum(model)
+        before = parameters(model)
         ds = micro_dataset()
         spec = micro_spec(base_lr=0.0)
         TR.train_epoch(model, dict(model.named_parameters()), ds.samples,
                        TR.AdamState(), spec, epoch=0)
-        assert parameter_checksum(model) == before
+        assert_same_parameters(parameters(model), before)
 
     def test_single_sample_memorization(self):
         config = micro_config()
@@ -235,7 +246,7 @@ class TestCheckpoint:
         path = str(tmp_path / "a.ckpt")
         TR.checkpoint_save(state, path)
         loaded = TR.checkpoint_load(path)
-        assert parameter_checksum(loaded.model) == parameter_checksum(state.model)
+        assert_same_parameters(parameters(loaded.model), parameters(state.model))
         assert loaded.epoch == 4 and loaded.seed == 42
         assert loaded.best_val_acc == 0.75 and loaded.best_epoch == 2
         assert loaded.norm_mean == (0.4, 0.5, 0.6)
@@ -338,8 +349,9 @@ class TestFit:
             ds = micro_dataset()
             spec = micro_spec(epochs=2, augment=True)
             state, _, lines = TR.fit(config, ds, spec, out_dir=str(tmp_path / name))
-            runs.append((lines, parameter_checksum(state.model)))
-        assert runs[0] == runs[1]
+            runs.append((lines, parameters(state.model)))
+        assert runs[0][0] == runs[1][0]
+        assert_same_parameters(runs[0][1], runs[1][1])
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         config = micro_config()
@@ -361,7 +373,7 @@ class TestFit:
                                                  out_dir=str(tmp_path / "resumed"),
                                                  resume_state=resume)
         assert resumed_lines == full_lines[2:]
-        assert parameter_checksum(resumed_state.model) == parameter_checksum(full_state.model)
+        assert_same_parameters(parameters(resumed_state.model), parameters(full_state.model))
 
     def test_nan_from_the_last_step_raises_before_its_checkpoint(self, tmp_path,
                                                                  monkeypatch):
