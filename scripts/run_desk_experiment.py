@@ -9,8 +9,10 @@ Usage: python scripts/run_desk_experiment.py [--out DIR] [--epochs N]
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from shipnet.cli import main as shipnet
+from shipnet.models import parse_settings
 
 
 def run(argv):
@@ -38,8 +40,8 @@ def main():
          "--epochs", args.epochs, "--batch-size", "32", "--lr", "1e-3",
          "--seed", args.seed] + force)
 
-    marker = open(os.path.join(cmp_dir, "cbam", "checkpoints", "best.txt")).read()
-    best_epoch = int(marker.splitlines()[0].split("=")[1])
+    marker = Path(cmp_dir, "cbam", "checkpoints", "best.txt").read_text()
+    best_epoch = parse_settings(marker, {"epoch": int, "val_acc": float}, "best.txt")["epoch"]
     ckpt = os.path.join(cmp_dir, "cbam", "checkpoints", f"epoch_{best_epoch:03d}.ckpt")
     for method in ("spatial-gate", "gradcam"):
         run(["heatmap", "--checkpoint", ckpt,

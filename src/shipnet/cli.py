@@ -16,7 +16,7 @@ from .data import (dataset_mean_std, exclude_small_classes, normalize,
 from .gradcheck import run_sweep
 from .heatmap import METHODS, gradcam_map, overlay_emit, spatial_gate_map
 from .metrics import confusion_csv, render_table, report_to_json, round2
-from .models import STAGES, layer_spec_dump
+from .models import STAGES, VARIANTS, layer_spec_dump
 from .synthetic import FAMILIES, generate_synthetic
 from .train import checkpoint_load, evaluate, fit
 
@@ -29,36 +29,35 @@ def _add_config_flags(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
-    sub.add_argument("--data", help="dataset root (overrides data_dir)")
-    sub.add_argument("--out", help="run output directory (overrides out_dir)")
+    sub.add_argument("--data", dest="key_data_dir", metavar="DATA",
+                     help="dataset root (overrides data_dir)")
+    sub.add_argument("--out", dest="key_out_dir", metavar="OUT",
+                     help="run output directory (overrides out_dir)")
     sub.add_argument("--force", action="store_true",
                      help="clear the output directory if it already has content")
-    for flag, key in (("--variant", "variant"), ("--preset", "preset"),
-                      ("--seed", "seed"), ("--epochs", "epochs"),
-                      ("--batch-size", "batch_size"), ("--lr", "lr"),
-                      ("--workers", "workers")):
-        sub.add_argument(flag, dest=f"key_{key}", metavar=key.upper())
+    for key in ("variant", "preset", "seed", "epochs", "batch_size", "lr", "workers"):
+        sub.add_argument("--" + key.replace("_", "-"), dest=f"key_{key}", metavar=key.upper())
 
 
-def _load_config(args):
+def _load_config(args, variants=()):
+    """The layered RunConfig, checked with the model of each of ``variants``."""
     overrides = []
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides.append((key.strip(), value.strip()))
-    for key in ("variant", "preset", "seed", "epochs", "batch_size", "lr", "workers"):
-        value = getattr(args, f"key_{key}", None)
-        if value is not None:
-            overrides.append((key, value))
-    if getattr(args, "data", None):
-        overrides.append(("data_dir", args.data))
-    if getattr(args, "out", None):
-        overrides.append(("out_dir", args.out))
+    # each flag set on the command line overrides the config key its dest names
+    for dest, value in vars(args).items():
+        if dest.startswith("key_") and value is not None:
+            overrides.append((dest[4:], value))
     try:
-        return RunConfig.load(args.config, overrides)
-    except (KeyError, ValueError, OSError) as exc:
+        cfg = RunConfig.load(args.config, overrides)
+        for variant in variants:
+            cfg.model_config(variant)
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from exc
+    return cfg
 
 
 def _prepare_out_dir(path, force):
@@ -124,16 +123,14 @@ def _emit_report(out_dir, report, prefix="report"):
 
 
 def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
-               resume_path=None):
-    """Fit one variant (from scratch or from the checkpoint at
+               resume_path=None, resume_state=None):
+    """Fit one variant (from scratch or from ``resume_state``, loaded from
     ``resume_path``), then report the best-on-validation model on the test
     split."""
     model_config = cfg.model_config(variant)
-    if resume_path is None:
-        resume_state = None
+    if resume_state is None:
         norm_mean, norm_std = _resolve_norm(cfg, train_set.samples)
     else:
-        resume_state = checkpoint_load(resume_path, expected_config=model_config)
         norm_mean, norm_std = resume_state.norm_mean, resume_state.norm_std
     spec = cfg.run_spec(norm_mean, norm_std)
 
@@ -176,10 +173,18 @@ def cmd_train(args):
         if os.path.commonpath([out, os.path.realpath(args.resume)]) == out:
             raise CliError(f"--resume {args.resume} lies inside {cfg.out_dir}, which "
                            "--force would clear; resume into another directory")
+    resume_state = None
+    if args.resume:
+        resume_state = checkpoint_load(args.resume, expected_config=cfg.model_config())
+        if resume_state.seed != cfg.seed:
+            # another seed would re-split the data, mixing trained images into the test split
+            raise CliError(f"--resume {args.resume} was trained with seed "
+                           f"{resume_state.seed}, this run has seed {cfg.seed}")
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     out_dir = _start_run(cfg, args.force, notes)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
-    _train_one(cfg, cfg.variant, train_set, test_set, out_dir, resume_path=args.resume)
+    _train_one(cfg, cfg.variant, train_set, test_set, out_dir,
+               resume_path=args.resume, resume_state=resume_state)
     return 0
 
 
@@ -202,13 +207,13 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, VARIANTS)
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     out_dir = _start_run(cfg, args.force, notes)
     # one shared split and seed across all variants
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     rows = []
-    for variant in ("baseline", "cbam", "enhanced"):
+    for variant in VARIANTS:
         vdir = os.path.join(out_dir, variant)
         os.makedirs(vdir, exist_ok=True)
         report = _train_one(cfg, variant, train_set, test_set, vdir,

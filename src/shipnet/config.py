@@ -6,38 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import VARIANTS, ModelConfig
+from .models import (VARIANTS, ModelConfig, format_settings, parse_floats3,
+                     parse_setting, settings_parsers)
 from .train import RunSpec
-
-
-def _parse_bool(raw):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_int_tuple(raw):
-    return tuple(int(x) for x in raw.split(",") if x.strip())
-
-
-def _parse_float_tuple(raw):
-    vals = tuple(float(x) for x in raw.split(",") if x.strip())
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 comma-separated floats, got {raw!r}")
-    return vals
-
-
-def _fmt(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass
@@ -78,38 +49,11 @@ class RunConfig:
     # model detail overrides (0 keeps the preset value)
     base_width: int = 0
     input_size: int = 0
-    # variant defaults applied unless the key was set explicitly
-    _explicit: tuple = ()
-
-    _PARSERS = {
-        "variant": str, "preset": str, "num_classes": int,
-        "cbam_stages": _parse_int_tuple, "reduction_ratio": int,
-        "spatial_kernel": int, "multiscale_fusion": _parse_bool,
-        "dwsep_stages": _parse_int_tuple, "dilated_stage5": _parse_bool,
-        "seed": int, "epochs": int, "batch_size": int, "lr": float,
-        "lr_decay_factor": float, "lr_decay_every": int,
-        "val_fraction": float, "split_ratio": float, "drop_last": _parse_bool,
-        "workers": int, "data_dir": str, "out_dir": str,
-        "lenient_scan": _parse_bool, "exclude_below": int,
-        "augment": _parse_bool, "rotation_deg": float,
-        "hflip": _parse_bool, "vflip": _parse_bool,
-        "norm": str, "norm_mean": _parse_float_tuple,
-        "norm_std": _parse_float_tuple, "base_width": int, "input_size": int,
-    }
-
-    @classmethod
-    def known_keys(cls):
-        return sorted(cls._PARSERS)
+    # keys set explicitly (not a field): variant defaults apply to the others
+    _explicit = ()
 
     def set_key(self, key, raw):
-        parser = self._PARSERS.get(key)
-        if parser is None:
-            raise KeyError(f"unknown config key {key!r} (known: {', '.join(self.known_keys())})")
-        try:
-            value = parser(raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key}: {exc}") from exc
-        setattr(self, key, value)
+        setattr(self, key, parse_setting(key, raw, _PARSERS, "config"))
         self._explicit = tuple(set(self._explicit) | {key})
 
     @classmethod
@@ -149,11 +93,12 @@ class RunConfig:
                 raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")
         if self.rotation_deg > 180:
             raise ValueError(f"rotation_deg must be <= 180, got {self.rotation_deg!r}")
+        self.model_config()
         return self
 
     def echo(self):
         """Canonical resolved config text (sorted keys)."""
-        return "".join(f"{k}={_fmt(getattr(self, k))}\n" for k in self.known_keys())
+        return format_settings({k: getattr(self, k) for k in _PARSERS})
 
     def model_config(self, variant=None):
         overrides = {}
@@ -181,3 +126,6 @@ class RunConfig:
             norm_std=tuple(norm_std if norm_std is not None else self.norm_std),
             resize_to=self.model_config().input_size,
         )
+
+
+_PARSERS = settings_parsers(RunConfig, norm_mean=parse_floats3, norm_std=parse_floats3)

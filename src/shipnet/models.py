@@ -5,7 +5,7 @@ multiscale feature fusion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +23,93 @@ _PRESETS = {
     "tiny": dict(stage_blocks=(1, 1, 1, 1), base_width=16, input_size=(64, 64),
                  fusion_width=64),
 }
+
+
+# ---- settings text ----------------------------------------------------------
+# config.txt, the checkpoint's config and metadata blocks and best.txt are all
+# sorted key=value lines, printed by format_settings and read by parse_settings.
+
+
+def parse_bool(raw):
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def parse_ints(raw):
+    return tuple(int(x) for x in raw.split(",") if x.strip())
+
+
+def parse_floats3(raw):
+    vals = tuple(float(x) for x in raw.split(",") if x.strip())
+    if len(vals) != 3:
+        raise ValueError(f"expected 3 comma-separated floats, got {raw!r}")
+    return vals
+
+
+# field annotations are strings under ``from __future__ import annotations``
+_PARSE_BY_TYPE = {"bool": parse_bool, "int": int, "float": float, "str": str,
+                  "tuple": parse_ints}
+
+
+def settings_parsers(cls, **special):
+    """Key -> parser for each field of dataclass ``cls``, chosen by its
+    annotation; ``special`` names the parser of a field its type does not fix."""
+    parsers = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(cls)}
+    parsers.update(special)
+    return parsers
+
+
+def _format_value(value):
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def format_settings(values):
+    """Sorted ``key=value`` lines: booleans as 1/0, floats by repr, tuples
+    comma-joined."""
+    return "".join(f"{k}={_format_value(values[k])}\n" for k in sorted(values))
+
+
+def parse_setting(key, raw, parsers, what):
+    """One value through its key's parser; a ValueError names ``what`` and the key."""
+    if key not in parsers:
+        raise ValueError(f"{what}: unknown key {key!r} (known: {', '.join(sorted(parsers))})")
+    try:
+        return parsers[key](raw)
+    except ValueError as exc:
+        raise ValueError(f"{what} key {key}: {exc}") from None
+
+
+def parse_settings(text, parsers, what):
+    """Read ``format_settings`` text holding each key of ``parsers`` exactly
+    once; a missing, repeated or unknown key or a bad value raises a
+    ValueError naming it."""
+    values = {}
+    for line in text.splitlines():
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise ValueError(f"{what}: expected key=value, got {line!r}")
+        if key in values:
+            raise ValueError(f"{what}: key {key} appears twice")
+        values[key] = parse_setting(key, raw, parsers, what)
+    missing = sorted(set(parsers) - set(values))
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]} key")
+    return values
+
+
+def _parse_hxw(raw):
+    h, w = (int(v) for v in raw.split("x"))
+    return h, w
 
 
 @dataclass(frozen=True)
@@ -79,6 +166,8 @@ class ModelConfig:
                 raise ValueError(f"stage index {s} outside {STAGES}")
         if self.reduction_ratio < 1:
             raise ValueError(f"reduction ratio must be >= 1, got {self.reduction_ratio}")
+        if self.cbam_stages and (self.spatial_kernel < 1 or self.spatial_kernel % 2 == 0):
+            raise ValueError(f"spatial_kernel must be odd and positive, got {self.spatial_kernel}")
         for stage in STAGES:
             width = self.stage_width(stage)
             if stage in self.cbam_stages and (4 * width) % self.reduction_ratio:
@@ -133,57 +222,23 @@ class ModelConfig:
 
     def to_text(self):
         """Canonical key=value block (sorted keys), used for echo and
-        checkpoint identity."""
-        items = {
-            "base_width": self.base_width,
-            "cbam_stages": ",".join(str(s) for s in self.cbam_stages),
-            "dilated_stage5": int(self.dilated_stage5),
-            "dwsep_stages": ",".join(str(s) for s in self.dwsep_stages),
-            "fusion_width": self.fusion_width,
-            "input_size": f"{self.input_size[0]}x{self.input_size[1]}",
-            "multiscale_fusion": int(self.multiscale_fusion),
-            "num_classes": self.num_classes,
-            "reduction_ratio": self.reduction_ratio,
-            "spatial_kernel": self.spatial_kernel,
-            "stage_blocks": ",".join(str(b) for b in self.stage_blocks),
-            "variant": self.variant,
-        }
-        return "".join(f"{k}={items[k]}\n" for k in sorted(items))
+        checkpoint identity; ``input_size`` reads HxW."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["input_size"] = "x".join(str(v) for v in self.input_size)
+        return format_settings(values)
 
     @staticmethod
     def from_text(text):
-        kv = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-
-        def ints(v):
-            return tuple(int(x) for x in v.split(",") if x)
-
-        try:
-            cfg = ModelConfig(
-                variant=kv["variant"],
-                stage_blocks=ints(kv["stage_blocks"]),
-                base_width=int(kv["base_width"]),
-                num_classes=int(kv["num_classes"]),
-                input_size=tuple(int(x) for x in kv["input_size"].split("x")),
-                cbam_stages=ints(kv["cbam_stages"]),
-                reduction_ratio=int(kv["reduction_ratio"]),
-                spatial_kernel=int(kv["spatial_kernel"]),
-                multiscale_fusion=bool(int(kv["multiscale_fusion"])),
-                dwsep_stages=ints(kv["dwsep_stages"]),
-                dilated_stage5=bool(int(kv["dilated_stage5"])),
-                fusion_width=int(kv["fusion_width"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"model config text has no {exc.args[0]} key") from None
-        return cfg.validate()
+        return ModelConfig(**parse_settings(text, _CONFIG_PARSERS, "model config")).validate()
 
     def attention_free(self):
         """The same backbone with every attention block removed."""
         variant = "baseline" if self.variant == "cbam" else self.variant
         cfg = replace(self, variant=variant, cbam_stages=())
         return cfg.validate()
+
+
+_CONFIG_PARSERS = settings_parsers(ModelConfig, input_size=_parse_hxw)
 
 
 class Bottleneck(Module):

@@ -16,7 +16,8 @@ from . import tensor as T
 from .data import augment, normalize, resize_bilinear, validation_split
 from .layers import cross_entropy
 from .metrics import MetricsReport
-from .models import ModelConfig, build_model
+from .models import (ModelConfig, build_model, format_settings, parse_floats3,
+                     parse_settings)
 
 
 # ---- optimizer --------------------------------------------------------------
@@ -214,6 +215,12 @@ def evaluate(model, samples, spec, classes):
 
 _CKPT_MAGIC = b"CBCK"
 _CKPT_VERSION = 1
+# the metadata block: TrainState fields, and AdamState scalars under "adam_"
+_META_PARSERS = {
+    "epoch": int, "seed": int, "best_val_acc": float, "best_epoch": int,
+    "norm_mean": parse_floats3, "norm_std": parse_floats3,
+    "adam_beta1": float, "adam_beta2": float, "adam_eps": float, "adam_t": int,
+}
 
 
 def _write_block(fh, text):
@@ -241,26 +248,14 @@ def checkpoint_save(state, path):
     for name, v in state.adam.v.items():
         tensors[f"adam.v.{name}"] = v
 
-    meta = {
-        "adam_beta1": repr(state.adam.beta1),
-        "adam_beta2": repr(state.adam.beta2),
-        "adam_eps": repr(state.adam.eps),
-        "adam_t": str(state.adam.t),
-        "best_epoch": str(state.best_epoch),
-        "best_val_acc": repr(state.best_val_acc),
-        "epoch": str(state.epoch),
-        "norm_mean": ",".join(repr(v) for v in state.norm_mean),
-        "norm_std": ",".join(repr(v) for v in state.norm_std),
-        "seed": str(state.seed),
-    }
-    meta_text = "".join(f"{k}={meta[k]}\n" for k in sorted(meta))
-
+    meta = {key: getattr(state.adam, key[5:]) if key.startswith("adam_") else getattr(state, key)
+            for key in _META_PARSERS}
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<H", _CKPT_VERSION))
         _write_block(fh, state.config.to_text())
-        _write_block(fh, meta_text)
+        _write_block(fh, format_settings(meta))
         fh.write(struct.pack("<I", len(tensors)))
         for name in sorted(tensors):
             raw_name = name.encode()
@@ -294,17 +289,9 @@ def _decode_checkpoint(raw, expected_config):
     config = ModelConfig.from_text(config_text)
     if expected_config is not None and expected_config.to_text() != config_text:
         raise ValueError("checkpoint config does not match the requested model")
-    meta = dict(line.partition("=")[::2] for line in meta_text.splitlines())
-    try:
-        adam = AdamState(beta1=float(meta["adam_beta1"]), beta2=float(meta["adam_beta2"]),
-                         eps=float(meta["adam_eps"]), t=int(meta["adam_t"]))
-        run = dict(epoch=int(meta["epoch"]), seed=int(meta["seed"]),
-                   best_val_acc=float(meta["best_val_acc"]),
-                   best_epoch=int(meta["best_epoch"]),
-                   norm_mean=tuple(float(v) for v in meta["norm_mean"].split(",")),
-                   norm_std=tuple(float(v) for v in meta["norm_std"].split(",")))
-    except KeyError as exc:
-        raise ValueError(f"checkpoint metadata has no {exc.args[0]} key") from None
+    meta = parse_settings(meta_text, _META_PARSERS, "checkpoint metadata")
+    adam = AdamState(**{k[5:]: v for k, v in meta.items() if k.startswith("adam_")})
+    run = {k: v for k, v in meta.items() if not k.startswith("adam_")}
 
     (count,), offset = T.unpack("<I", raw, offset)
     tensors = {}
@@ -379,6 +366,9 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
                            norm_std=tuple(spec.norm_std))
     elif state.config.to_text() != config.to_text():
         raise ValueError("resume checkpoint config does not match the requested model")
+    elif state.seed != spec.seed:
+        raise ValueError(f"resume checkpoint has seed {state.seed}, the run has seed "
+                         f"{spec.seed}")
 
     ckpt_dir = None
     log_path = None
@@ -419,7 +409,7 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
     best_state = None
     if ckpt_dir is not None and state.best_epoch >= 0:
         with open(os.path.join(ckpt_dir, "best.txt"), "w") as fh:
-            fh.write(f"epoch={state.best_epoch}\nval_acc={state.best_val_acc!r}\n")
+            fh.write(format_settings({"epoch": state.best_epoch, "val_acc": state.best_val_acc}))
         best_path = os.path.join(ckpt_dir, f"epoch_{state.best_epoch:03d}.ckpt")
         # a resumed run may not hold the pre-resume best checkpoint
         if os.path.exists(best_path):

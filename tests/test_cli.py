@@ -114,8 +114,23 @@ class TestArgHandling:
         assert "variant=baseline" in echo
 
 
+    def test_config_echo_is_pinned(self):
+        cfg = RunConfig.load(None, [("variant", "cbam"), ("lr", "1e-3"), ("cbam_stages", "3,4"),
+                                    ("hflip", "no"), ("norm", "custom"),
+                                    ("norm_mean", "0.4,0.5,0.6"), ("data_dir", "data"),
+                                    ("out_dir", "runs/cbam")])
+        assert cfg.echo() == (
+            "augment=1\nbase_width=0\nbatch_size=128\ncbam_stages=3,4\ndata_dir=data\n"
+            "dilated_stage5=0\ndrop_last=0\ndwsep_stages=\nepochs=30\nexclude_below=0\n"
+            "hflip=0\ninput_size=0\nlenient_scan=0\nlr=0.001\nlr_decay_every=10\n"
+            "lr_decay_factor=0.1\nmultiscale_fusion=0\nnorm=custom\nnorm_mean=0.4,0.5,0.6\n"
+            "norm_std=0.25,0.25,0.25\nnum_classes=4\nout_dir=runs/cbam\npreset=full\n"
+            "reduction_ratio=16\nrotation_deg=10.0\nseed=42\nspatial_kernel=7\n"
+            "split_ratio=0.8\nval_fraction=0.2\nvariant=cbam\nvflip=1\nworkers=1\n")
+
+
 CONFIG_TEXT = (b"# comment line\nepochs=1\nbatch_size=8\nlr=1e-3\npreset=tiny\n"
-               b"rotation_deg=10\nnorm_mean=0.5,0.5,0.5\ncbam_stages=3,4\n")
+               b"rotation_deg=10\nnorm_mean=0.5,0.5,0.5\nvariant=cbam\ncbam_stages=3,4\n")
 
 
 def _load_or_clean_error(tmp_path_factory, raw):
@@ -352,6 +367,24 @@ class TestTrainResume:
         assert main(["train", "--force", "--resume", str(ckpt)] + args) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert ckpt.exists() and (run / "epochs.log").exists()
+
+    @pytest.mark.parametrize("command,flags,code", [
+        ("train", ["--resume", "{missing}"], 1),
+        ("train", ["--variant", "cbam", "--seed", "8", "--resume", "{trained}"], 2),
+        ("train", ["--variant", "cbam", "--set", "spatial_kernel=4"], 2),
+        ("compare", ["--set", "reduction_ratio=3"], 2),
+    ], ids=["missing-resume", "resume-seed", "even-spatial-kernel", "compare-ratio"])
+    def test_rejected_run_writes_nothing_so_the_rerun_needs_no_force(
+            self, tmp_path, corpus, trained_run, command, flags, code):
+        flags = [f.format(missing=tmp_path / "nope.ckpt",
+                          trained=Path(trained_run, "checkpoints", "epoch_000.ckpt"))
+                 for f in flags]
+        out = tmp_path / "run"
+        args = ["--data", corpus, "--out", str(out), "--epochs", "1", "--batch-size", "8",
+                "--lr", "1e-3", "--seed", "5"] + MICRO_SETS
+        assert main([command] + args + flags) == code
+        assert not out.exists()
+        assert main(["train"] + args) == 0
 
 
 class TestFailureModes:

@@ -81,6 +81,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             M.ModelConfig.make("resnext")
 
+    @pytest.mark.parametrize("kernel", [4, 0, -1])
+    def test_even_or_nonpositive_spatial_kernel_rejected_with_attention(self, kernel):
+        with pytest.raises(ValueError, match="spatial_kernel"):
+            M.ModelConfig.make("cbam", preset="tiny", spatial_kernel=kernel)
+        assert M.ModelConfig.make("baseline", preset="tiny", spatial_kernel=kernel)
+
     def test_zero_reduction_ratio_rejected(self):
         text = M.ModelConfig.make("cbam", preset="tiny").to_text()
         with pytest.raises(ValueError):

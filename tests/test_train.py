@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -299,6 +300,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             TR.checkpoint_load(str(path))
 
+    def test_text_blocks_are_pinned(self, tmp_path):
+        path = str(tmp_path / "a.ckpt")
+        TR.checkpoint_save(self._state("enhanced"), path)
+        config = (b"base_width=8\ncbam_stages=2,3,4,5\ndilated_stage5=1\ndwsep_stages=4,5\n"
+                  b"fusion_width=16\ninput_size=32x32\nmultiscale_fusion=1\nnum_classes=4\n"
+                  b"reduction_ratio=4\nspatial_kernel=3\nstage_blocks=1,1,1,1\n"
+                  b"variant=enhanced\n")
+        meta = (b"adam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\nadam_t=3\nbest_epoch=2\n"
+                b"best_val_acc=0.75\nepoch=4\nnorm_mean=0.4,0.5,0.6\nnorm_std=0.2,0.2,0.2\n"
+                b"seed=42\n")
+        head = b"CBCK\x01\x00" + b"".join(struct.pack("<I", len(b)) + b for b in (config, meta))
+        assert Path(path).read_bytes().startswith(head)
+
     def test_micro_checkpoint_small(self, tmp_path):
         state = self._state()
         path = str(tmp_path / "a.ckpt")
@@ -374,6 +388,15 @@ class TestFit:
                                                  resume_state=resume)
         assert resumed_lines == full_lines[2:]
         assert_same_parameters(parameters(resumed_state.model), parameters(full_state.model))
+
+    def test_resume_with_another_seed_is_refused(self, tmp_path):
+        config = micro_config()
+        TR.fit(config, micro_dataset(), micro_spec(epochs=1), out_dir=str(tmp_path / "a"))
+        resume = TR.checkpoint_load(str(tmp_path / "a" / "checkpoints" / "epoch_000.ckpt"))
+        with pytest.raises(ValueError, match="seed 11, the run has seed 12"):
+            TR.fit(config, micro_dataset(), micro_spec(epochs=2, seed=12),
+                   out_dir=str(tmp_path / "b"), resume_state=resume)
+        assert not (tmp_path / "b").exists()
 
     def test_nan_from_the_last_step_raises_before_its_checkpoint(self, tmp_path,
                                                                  monkeypatch):
@@ -492,6 +515,34 @@ class TestCheckpointValidation:
             path.write_bytes(raw.replace(key, b"\n" + b"x" * (len(key) - 2) + b"\n"))
             with pytest.raises(ValueError, match=str(path)):
                 TR.checkpoint_load(str(path))
+
+    @pytest.mark.parametrize("block,edit,key", [
+        (0, lambda t: t + "variant=cbam\n", "variant"),
+        (0, lambda t: t + "whatever=3\n", "whatever"),
+        (0, lambda t: t.replace("spatial_kernel=3", "spatial_kernel=three"), "spatial_kernel"),
+        (0, lambda t: t.replace("dilated_stage5=0", "dilated_stage5=2"), "dilated_stage5"),
+        (1, lambda t: t + "epoch=4\n", "epoch"),
+        (1, lambda t: t + "whatever=3\n", "whatever"),
+        (1, lambda t: t.replace("epoch=4", "epoch=abc"), "epoch"),
+        (1, lambda t: t.replace("norm_mean=0.4,0.5,0.6", "norm_mean=0.5,0.5"), "norm_mean"),
+    ], ids=["config-repeated", "config-unknown", "config-bad-int", "config-bad-bool",
+            "meta-repeated", "meta-unknown", "meta-bad-int", "meta-two-floats"])
+    def test_malformed_text_block_names_path_and_key(self, tmp_path, block, edit, key):
+        raw = Path(self._saved(tmp_path)).read_bytes()
+        blocks, offset = [], 6
+        for _ in range(2):
+            (n,) = struct.unpack_from("<I", raw, offset)
+            blocks.append(raw[offset + 4 : offset + 4 + n].decode())
+            offset += 4 + n
+        blocks[block] = edit(blocks[block])
+        assert blocks[block].encode() not in raw
+        path = tmp_path / "k.ckpt"
+        path.write_bytes(raw[:6] + b"".join(struct.pack("<I", len(b)) + b.encode()
+                                            for b in blocks) + raw[offset:])
+        with pytest.raises(ValueError) as info:
+            TR.checkpoint_load(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and key in message[len(str(path)):]
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self._saved(tmp_path)
