@@ -93,6 +93,10 @@ class RunConfig:
                 raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")
         if self.rotation_deg > 180:
             raise ValueError(f"rotation_deg must be <= 180, got {self.rotation_deg!r}")
+        if not all(math.isfinite(v) for v in self.norm_mean):
+            raise ValueError(f"norm_mean must be finite, got {self.norm_mean!r}")
+        if not all(0 < v < math.inf for v in self.norm_std):
+            raise ValueError(f"norm_std must be finite and > 0, got {self.norm_std!r}")
         self.model_config()
         return self
 

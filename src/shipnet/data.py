@@ -247,7 +247,7 @@ def rotate_bilinear(img, degrees):
     return out
 
 
-def augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True, rotate=True):
+def augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True):
     """Independent random horizontal/vertical flips (p=0.5 each) and a
     rotation uniform in [-max_rotation_deg, +max_rotation_deg], drawn in
     that order; the flips are a view the warp reads through."""
@@ -255,9 +255,7 @@ def augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True, rotate=True
         img = img[:, :, ::-1]
     if vflip and rng.random() < 0.5:
         img = img[:, ::-1, :]
-    if rotate:
-        return rotate_bilinear(img, rng.uniform(-max_rotation_deg, max_rotation_deg))
-    return np.ascontiguousarray(img)
+    return rotate_bilinear(img, rng.uniform(-max_rotation_deg, max_rotation_deg))
 
 
 # ---- splits -----------------------------------------------------------------

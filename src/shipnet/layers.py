@@ -38,8 +38,9 @@ def watch(hook):
 
 
 class Module:
-    """Minimal layer container: child discovery via attributes, named
-    parameters/buffers, train/eval mode propagation."""
+    """Minimal layer container: child discovery via attributes, and one
+    preorder walk, ``modules()``, behind named parameters/buffers and
+    train/eval mode propagation."""
 
     def __init__(self):
         self.training = True
@@ -62,12 +63,19 @@ class Module:
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
 
-    def named_parameters(self, prefix=""):
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield prefix + name, value
-        for name, child in self.children():
-            yield from child.named_parameters(prefix + name + ".")
+    def modules(self, name=""):
+        yield name, self
+        for child_name, child in self.children():
+            yield from child.modules(f"{name}.{child_name}" if name else child_name)
+
+    def _named_tensors(self, learnable):
+        for name, mod in self.modules():
+            for attr, value in vars(mod).items():
+                if isinstance(value, Tensor) and value.requires_grad == learnable:
+                    yield f"{name}.{attr}" if name else attr, value
+
+    def named_parameters(self):
+        return self._named_tensors(True)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -76,30 +84,18 @@ class Module:
         """Learnable scalars in this module and its children."""
         return sum(p.size for p in self.parameters())
 
-    def named_buffers(self, prefix=""):
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and not value.requires_grad:
-                yield prefix + name, value
-        for name, child in self.children():
-            yield from child.named_buffers(prefix + name + ".")
+    def named_buffers(self):
+        return self._named_tensors(False)
 
     def train(self):
-        self.training = True
-        for _, child in self.children():
-            child.train()
+        for _, mod in self.modules():
+            mod.training = True
         return self
 
     def eval(self):
-        self.training = False
-        for _, child in self.children():
-            child.eval()
+        for _, mod in self.modules():
+            mod.training = False
         return self
-
-    def modules(self, name=""):
-        yield name, self
-        for child_name, child in self.children():
-            full = f"{name}.{child_name}" if name else child_name
-            yield from child.modules(full)
 
     def zero_grad(self):
         for p in self.parameters():

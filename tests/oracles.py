@@ -337,14 +337,12 @@ def naive_rotate_bilinear(img, degrees):
     return out
 
 
-def naive_augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True, rotate=True):
+def naive_augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True):
     """The original augmentation: flip copies, then ``naive_rotate_bilinear``
     of the contiguous result; draws in the order hflip, vflip, angle."""
     if hflip and rng.random() < 0.5:
         img = img[:, :, ::-1]
     if vflip and rng.random() < 0.5:
         img = img[:, ::-1, :]
-    if rotate:
-        angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
-        img = naive_rotate_bilinear(np.ascontiguousarray(img), angle)
-    return np.ascontiguousarray(img)
+    angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
+    return naive_rotate_bilinear(np.ascontiguousarray(img), angle)

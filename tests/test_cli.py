@@ -88,6 +88,10 @@ class TestArgHandling:
         (["--set", "rotation_deg=-5"], "rotation_deg"),
         (["--set", "rotation_deg=1e308"], "rotation_deg"),
         (["--workers", "-3"], "workers"),
+        (["--set", "norm_std=0,0,0"], "norm_std"),
+        (["--set", "norm_std=0.2,-0.2,0.2"], "norm_std"),
+        (["--set", "norm_std=0.2,inf,0.2"], "norm_std"),
+        (["--set", "norm_mean=0.5,nan,0.5"], "norm_mean"),
     ])
     def test_out_of_range_setting_exits_2_without_writing(self, tmp_path, corpus, capsys,
                                                           flags, key):

@@ -144,7 +144,7 @@ class TestAugment:
     def test_noop_path_identity(self):
         img = _img(4)
         rng = np.random.default_rng(0)
-        out = D.augment(img, rng, hflip=False, vflip=False, rotate=False)
+        out = D.augment(img, rng, max_rotation_deg=0.0, hflip=False, vflip=False)
         assert np.array_equal(out, img)
 
     def test_zero_rotation_identity(self):
@@ -188,9 +188,11 @@ class TestAugmentOracle:
     @settings(max_examples=12, deadline=None)
     def test_augment_matches_oracle(self, hflip, vflip, rotate, max_deg, c, h, w, dtype,
                                     seed):
+        # rotate=False is the max_rotation_deg=0 path
+        max_deg = max_deg if rotate else 0.0
         img = np.random.default_rng(seed).random((c, h, w)).astype(dtype)
-        out = D.augment(img, np.random.default_rng(seed), max_deg, hflip, vflip, rotate)
-        ref = naive_augment(img, np.random.default_rng(seed), max_deg, hflip, vflip, rotate)
+        out = D.augment(img, np.random.default_rng(seed), max_deg, hflip, vflip)
+        ref = naive_augment(img, np.random.default_rng(seed), max_deg, hflip, vflip)
         assert _same_bits(out, ref)
 
     @given(degrees=st.floats(-360, 360), **_IMAGE)

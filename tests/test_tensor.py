@@ -62,14 +62,6 @@ class TestBroadcastBinary:
         assert a.grad.shape == a.shape
         assert b.grad.shape == b.shape
 
-    def test_div_by_zero_debug(self):
-        T.set_debug_checks(True)
-        try:
-            with pytest.raises(ZeroDivisionError):
-                _ = T.Tensor([1.0]) / T.Tensor([0.0])
-        finally:
-            T.set_debug_checks(False)
-
 
 class TestMatmul:
     def test_identity(self):
@@ -150,10 +142,6 @@ class TestActivations:
 
 
 class TestShapeOps:
-    def test_pad(self):
-        out = T.pad(T.Tensor([1]), [(1, 1)])
-        assert np.array_equal(out.data, [0, 1, 0])
-
     def test_concat(self):
         out = T.concat([T.Tensor([1]), T.Tensor([2])], axis=0)
         assert np.array_equal(out.data, [1, 2])
