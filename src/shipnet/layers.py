@@ -4,10 +4,11 @@ Convolution supports stride, zero padding, dilation and groups (cross
 correlation, the usual deep-learning convention). The forward copies the
 kernel taps once into a group-major im2col buffer, batch-innermost unless the
 conv is an unpadded 1x1, and contracts it with the kernel, one matmul per
-group; the weight and input gradients reuse that buffer, and the input
-gradient is folded back by one strided slice-add per kernel tap (col2im).
-Max pooling is a running maximum over the kernel taps. Batch normalization
-and cross entropy are fused ops with hand-written backward rules.
+group; the weight gradient copies the taps again, and the input gradient is
+folded back by one strided slice-add per kernel tap (col2im). Max pooling is
+a running maximum over the kernel taps. Batch normalization and cross entropy
+are fused ops with hand-written backward rules. The vjps read their parents'
+``.data``, so nothing may write into a recorded tensor's data before the walk.
 """
 
 from __future__ import annotations
@@ -180,12 +181,13 @@ def _taps(kernel, stride, dilation, out_hw, lead):
 def conv2d(x, weight, bias, spec):
     """Grouped/strided/dilated 2-D cross correlation, differentiable in all
     of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw, cols)
-    serves the forward, the weight gradient and the input gradient, each
-    one matmul per group. An unpadded 1x1 conv takes channel-major columns
-    (N*Ho*Wo) by one strided copy, and its input gradient is one strided
-    assignment. Every other conv gathers its kh*kw taps from a zero-padded
-    (C, Hp, Wp, N) copy of x, so each tap copy and col2im slice-add runs its
-    inner loop over the batch, not over a 2-8 wide row; for 1x1 convs the
+    is built for the forward and again for the weight gradient, each one
+    matmul per group, so the tape keeps only the source of its columns. An
+    unpadded 1x1 conv takes channel-major columns (N*Ho*Wo) from x by one
+    strided copy, and its input gradient is one strided assignment. Every
+    other conv gathers its kh*kw taps from a zero-padded (C, Hp, Wp, N) copy
+    of x, which the tape keeps, so each tap copy and col2im slice-add runs
+    its inner loop over the batch, not over a 2-8 wide row; for 1x1 convs the
     transposes of a batch-innermost layout cost more than the loops saved."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
@@ -201,22 +203,26 @@ def conv2d(x, weight, bias, spec):
     sh, sw = spec.stride
     pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
 
-    if pointwise:
-        cols = np.empty((c, n, ho, wo), dtype=x.dtype)
-        cols[...] = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
-    else:
+    if not pointwise:
         xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
         xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
         taps = _taps(spec.kernel, spec.stride, spec.dilation, (ho, wo), 1)
-        cols = np.empty((c, kh, kw, ho, wo, n), dtype=x.dtype)
-        for (i, j), tap in taps:
-            cols[:, i, j] = xp[tap]
+
+    def columns():
+        if pointwise:
+            cols = np.empty((c, n, ho, wo), dtype=x.dtype)
+            cols[...] = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
+        else:
+            cols = np.empty((c, kh, kw, ho, wo, n), dtype=x.dtype)
+            for (i, j), tap in taps:
+                cols[:, i, j] = xp[tap]
+        return cols.reshape(g, cg * kh * kw, -1)
+
     # NCHW axes in column order: (C, N, Ho, Wo) or (C, Ho, Wo, N); argsort inverts it
     col_axes = (1, 0, 2, 3) if pointwise else (1, 2, 3, 0)
-    out_cols = (spec.out_channels,) + cols.shape[-3:]
-    cols = cols.reshape(g, cg * kh * kw, -1)
+    out_cols = (spec.out_channels,) + ((n, ho, wo) if pointwise else (ho, wo, n))
     kmat = weight.data.reshape(g, og, cg * kh * kw)
-    out = np.matmul(kmat, cols).reshape(out_cols).transpose(np.argsort(col_axes))
+    out = np.matmul(kmat, columns()).reshape(out_cols).transpose(np.argsort(col_axes))
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
@@ -225,9 +231,11 @@ def conv2d(x, weight, bias, spec):
         gx = gw = None
         gg = np.ascontiguousarray(grad.transpose(col_axes)).reshape(g, og, -1)
         if weight.requires_grad:
-            gw = np.matmul(gg, cols.transpose(0, 2, 1)).reshape(weight.shape)
+            gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(weight.shape)
         if x.requires_grad:
-            dcols = np.matmul(kmat.transpose(0, 2, 1), gg)
+            kt = kmat.transpose(0, 2, 1)
+            # one output channel per group (depthwise): dcols is an outer product
+            dcols = kt * gg if og == 1 else np.matmul(kt, gg)
             if pointwise:
                 gx = (np.empty if spec.stride == (1, 1) else np.zeros)(x.shape, dtype=x.dtype)
                 gx[:, :, ::sh, ::sw] = dcols.reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
@@ -347,7 +355,8 @@ class BatchNorm2d(Module):
         var = _channel_sum(np.einsum("nk,nk->k", xhat, xhat), c) / m
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= np.repeat(inv_std, s)
-        out = xhat * np.repeat(self.gamma.data, s)
+        out = xhat  # the vjp rebuilds x-hat, so its buffer becomes the output
+        out *= np.repeat(self.gamma.data, s)
         out += np.repeat(self.beta.data, s)
 
         mom = self.momentum
@@ -355,13 +364,15 @@ class BatchNorm2d(Module):
             buf.data = ((1 - mom) * buf.data + mom * stat).astype(buf.dtype, copy=False)
 
         def vjp(grad):
+            xhat = xv - np.repeat(mu, s)  # the forward's expression, bit for bit
+            xhat *= np.repeat(inv_std, s)
             gv = grad.reshape(n, c * s)
             sum_g = _channel_sum(gv.sum(axis=0), c)
             sum_gx = _channel_sum(np.einsum("nk,nk->k", gv, xhat), c)
             gx = None
             if x.requires_grad:
                 # gx = gamma * inv_std * (g - sum(g)/m - xhat * sum(g * xhat)/m)
-                gx = xhat * np.repeat(sum_gx / m, s)
+                gx = np.multiply(xhat, np.repeat(sum_gx / m, s), out=xhat)
                 gx += np.repeat(sum_g / m, s)
                 np.subtract(gv, gx, out=gx)
                 gx *= np.repeat(self.gamma.data * inv_std, s)

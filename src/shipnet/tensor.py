@@ -324,12 +324,17 @@ def tmean(a, axes=None, keepdims=False):
 
 def tmax(a, axes=None, keepdims=False):
     """Max over axes; ties route the gradient to the first maximal element
-    of each reduced group in row-major order."""
+    of each reduced group in row-major order. When nothing is recorded this
+    is ``ndarray.max``; otherwise the vjp keeps the argmax and shapes only."""
     axes = _normalize_axes(axes, a.ndim)
+    if not (_grad_enabled and a.requires_grad):
+        out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
+        return a._record(out_data, (a,), None)
     kept = tuple(i for i in range(a.ndim) if i not in axes)
     perm = kept + axes
     moved = a.data.transpose(perm)
-    kept_shape = moved.shape[: len(kept)]
+    moved_shape = moved.shape
+    kept_shape = moved_shape[: len(kept)]
     flat = moved.reshape(kept_shape + (-1,))
     idx = flat.argmax(axis=-1)
     out_flat = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
@@ -341,10 +346,9 @@ def tmax(a, axes=None, keepdims=False):
     out_data = out_flat.reshape(out_shape)
 
     def vjp(g):
-        gflat = np.zeros_like(flat)
+        gflat = np.zeros(moved_shape, dtype=a.dtype).reshape(kept_shape + (-1,))
         np.put_along_axis(gflat, idx[..., None], g.reshape(kept_shape + (1,)), axis=-1)
-        inv = np.argsort(perm)
-        return (gflat.reshape(moved.shape).transpose(inv),)
+        return (gflat.reshape(moved_shape).transpose(np.argsort(perm)),)
 
     return a._record(out_data, (a,), vjp)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,6 +422,60 @@ class TestGlobalPool:
         x = T.Tensor(_rand((2, 3, 4, 4), 5, dtype=np.float32))
         assert np.array_equal(L.global_pool(x, "avg").data,
                               x.mean(axes=(2, 3), keepdims=True).data)
+
+
+def _held_bytes(op):
+    """(result, bytes still allocated once ``op()`` has returned); a first
+    unmeasured call warms numpy's and the interpreter's caches."""
+    op()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# what a recorded op holds besides arrays: closures, tap slices, tensor objects
+_SLACK = 8 * 1024
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    """A recorded train-mode forward holds its output and only those buffers
+    its vjp cannot rebuild from the parents' data."""
+
+    def _leaf(self, shape):
+        return T.Tensor(_rand(shape, 0, dtype=np.float32), requires_grad=True)
+
+    @pytest.mark.parametrize("groups,bias", [(1, True), (16, False)])
+    def test_padded_3x3_conv_holds_output_and_padded_input(self, groups, bias):
+        x = self._leaf((8, 16, 8, 8))
+        conv = L.Conv2d(L.Conv2dSpec(16, 16, 3, padding=1, groups=groups, bias=bias),
+                        np.random.default_rng(1))
+        out, held = _held_bytes(lambda: conv(x))
+        assert out.requires_grad
+        padded = 16 * 10 * 10 * 8 * 4  # (C, Hp, Wp, N) float32
+        assert held <= out.data.nbytes + padded + _SLACK
+
+    def test_unpadded_strided_1x1_conv_holds_only_output(self):
+        x = self._leaf((8, 32, 16, 16))
+        conv = L.Conv2d(L.Conv2dSpec(32, 32, 1, stride=2), np.random.default_rng(1))
+        out, held = _held_bytes(lambda: conv(x))
+        assert out.shape == (8, 32, 8, 8)
+        assert held <= out.data.nbytes + _SLACK
+
+    def test_train_batchnorm_holds_only_output(self):
+        x = self._leaf((8, 16, 8, 8))
+        bn = L.BatchNorm2d(16)
+        out, held = _held_bytes(lambda: bn(x))
+        assert held <= out.data.nbytes + _SLACK
+
+    @pytest.mark.parametrize("axes", [(1,), (1, 3)])
+    def test_max_holds_output_and_argmax(self, axes):
+        x = self._leaf((8, 16, 8, 8))
+        out, held = _held_bytes(lambda: x.max(axes=axes, keepdims=True))
+        assert held <= out.data.nbytes + out.size * np.dtype(np.intp).itemsize + _SLACK
 
 
 class TestLinear:

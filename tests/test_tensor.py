@@ -101,6 +101,21 @@ class TestReduce:
         m.backward()
         assert np.array_equal(x.grad, [1, 0, 0])
 
+    @pytest.mark.parametrize("axes,keepdims", [((1,), True), ((0, 2), False), (None, False)])
+    def test_unrecorded_max_equals_recorded(self, axes, keepdims):
+        data = T.make_rng(4).standard_normal((3, 4, 5)).astype(np.float32)
+        data[0, 1, :] = data[0, 2, :]
+        data[2, 3, 4] = np.nan
+        recorded = T.Tensor(data, requires_grad=True).max(axes=axes, keepdims=keepdims)
+        assert recorded.requires_grad
+        plain = T.Tensor(data).max(axes=axes, keepdims=keepdims)
+        with T.no_grad():
+            off = T.Tensor(data, requires_grad=True).max(axes=axes, keepdims=keepdims)
+        for t in (plain, off):
+            assert not t.requires_grad
+            assert t.shape == recorded.shape and t.dtype == recorded.dtype
+            assert t.data.tobytes() == recorded.data.tobytes()
+
     def test_mean_equals_sum_over_count_power_of_two(self):
         rng = T.make_rng(2)
         x = T.normal((4, 8), 1.0, rng, dtype=np.float64)
