@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Desk-scale comparative experiment: generate the synthetic corpus, train
-all three variants under one seed, then export heatmap overlays from the
-best attention checkpoint.
+all three variants under one seed, then export spatial-gate and Grad-CAM
+overlays from the best cbam and the best enhanced checkpoint.
 
 Usage: python scripts/run_desk_experiment.py [--out DIR] [--epochs N]
 """
@@ -40,14 +40,17 @@ def main():
          "--epochs", args.epochs, "--batch-size", "32", "--lr", "1e-3",
          "--seed", args.seed] + force)
 
-    marker = Path(cmp_dir, "cbam", "checkpoints", "best.txt").read_text()
-    best_epoch = parse_settings(marker, {"epoch": int, "val_acc": float}, "best.txt")["epoch"]
-    ckpt = os.path.join(cmp_dir, "cbam", "checkpoints", f"epoch_{best_epoch:03d}.ckpt")
-    for method in ("spatial-gate", "gradcam"):
-        run(["heatmap", "--checkpoint", ckpt,
-             "--image", os.path.join(data_dir, "oil_tanker"),
-             "--method", method,
-             "--out", os.path.join(args.out, f"heatmaps_{method}")])
+    # the enhanced model's Grad-CAM walks back through its multiscale fusion
+    for variant in ("cbam", "enhanced"):
+        ckpt_dir = os.path.join(cmp_dir, variant, "checkpoints")
+        marker = Path(ckpt_dir, "best.txt").read_text()
+        best_epoch = parse_settings(marker, {"epoch": int, "val_acc": float}, "best.txt")["epoch"]
+        ckpt = os.path.join(ckpt_dir, f"epoch_{best_epoch:03d}.ckpt")
+        for method in ("spatial-gate", "gradcam"):
+            run(["heatmap", "--checkpoint", ckpt,
+                 "--image", os.path.join(data_dir, "oil_tanker"),
+                 "--method", method,
+                 "--out", os.path.join(args.out, f"heatmaps_{variant}_{method}")])
 
     print(f"\ndone; see {cmp_dir}/compare.tsv and {args.out}/heatmaps_*/")
 

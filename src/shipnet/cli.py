@@ -230,11 +230,16 @@ def cmd_compare(args):
 
 
 def cmd_heatmap(args):
+    if args.method == "spatial-gate" and args.target_class is not None:
+        raise CliError("--target-class applies to --method gradcam only")
     state = checkpoint_load(args.checkpoint)
     model = state.model
     if args.method == "spatial-gate" and not state.config.cbam_stages:
         raise CliError("spatial-gate maps need an attention-equipped variant; "
                        "use --method gradcam for the baseline")
+    if args.target_class is not None and not 0 <= args.target_class < state.config.num_classes:
+        raise CliError(f"--target-class {args.target_class} is out of range for a "
+                       f"{state.config.num_classes}-class checkpoint")
 
     if os.path.isdir(args.image):
         images = sorted(os.path.join(args.image, f) for f in os.listdir(args.image)

@@ -1,14 +1,15 @@
 """Neural-network layers over the autodiff core.
 
 Convolution supports stride, zero padding, dilation and groups (cross
-correlation, the usual deep-learning convention). The forward copies the
-kernel taps once into a group-major im2col buffer, batch-innermost unless the
-conv is an unpadded 1x1, and contracts it with the kernel, one matmul per
-group; the weight gradient copies the taps again, and the input gradient is
-folded back by one strided slice-add per kernel tap (col2im). Max pooling is
-a running maximum over the kernel taps. Batch normalization and cross entropy
-are fused ops with hand-written backward rules. The vjps read their parents'
-``.data``, so nothing may write into a recorded tensor's data before the walk.
+correlation, the usual deep-learning convention). The forward builds a
+group-major im2col buffer, batch-innermost unless the conv is an unpadded
+1x1, by one copy out of a strided window view of its input, and contracts it
+with the kernel, one matmul per group; the weight gradient copies the columns
+again, and the input gradient is folded back by one slice-add per kernel tap
+through a window view of its buffer (col2im). Max pooling is a running
+maximum over the kernel taps. Batch normalization and cross entropy are fused
+ops with hand-written backward rules. The vjps read their parents' ``.data``,
+so nothing may write into a recorded tensor's data before the walk.
 """
 
 from __future__ import annotations
@@ -166,16 +167,15 @@ class Conv2dSpec:
                 f"bias={self.bias})")
 
 
-def _taps(kernel, stride, dilation, out_hw, lead):
-    # Row-major ((i, j), index) per kernel tap; the index selects the padded
-    # input positions that tap reads, in an array whose two spatial axes
-    # follow ``lead`` leading axes.
-    def axis(k, s, d, o):
-        return slice(k * d, k * d + (o - 1) * s + 1, s)
-
-    return [((i, j), (slice(None),) * lead + (axis(i, stride[0], dilation[0], out_hw[0]),
-                                               axis(j, stride[1], dilation[1], out_hw[1])))
-            for i in range(kernel[0]) for j in range(kernel[1])]
+def _windows(a, axis, kernel, stride, dilation, out_hw, writeable=False):
+    # View of the padded array ``a``, its rows and columns at ``axis`` and
+    # ``axis + 1``, with two leading tap axes: [i, j, ..., y, x, ...] is the
+    # element that kernel tap (i, j) reads for output position (y, x).
+    st, rows, cols = a.strides, a.strides[axis], a.strides[axis + 1]
+    shape = kernel + a.shape[:axis] + out_hw + a.shape[axis + 2 :]
+    strides = ((rows * dilation[0], cols * dilation[1]) + st[:axis]
+               + (rows * stride[0], cols * stride[1]) + st[axis + 2 :])
+    return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=writeable)
 
 
 def conv2d(x, weight, bias, spec):
@@ -184,11 +184,12 @@ def conv2d(x, weight, bias, spec):
     is built for the forward and again for the weight gradient, each one
     matmul per group, so the tape keeps only the source of its columns. An
     unpadded 1x1 conv takes channel-major columns (N*Ho*Wo) from x by one
-    strided copy, and its input gradient is one strided assignment. Every
-    other conv gathers its kh*kw taps from a zero-padded (C, Hp, Wp, N) copy
-    of x, which the tape keeps, so each tap copy and col2im slice-add runs
-    its inner loop over the batch, not over a 2-8 wide row; for 1x1 convs the
-    transposes of a batch-innermost layout cost more than the loops saved."""
+    strided copy (a view if contiguous, as at stride 1 and batch 1), and its
+    input gradient is one strided assignment. Every other conv copies its
+    columns at once from a (C, kh, kw, Ho, Wo, N) window view of a zero-padded
+    (C, Hp, Wp, N) copy of x, which the tape keeps, so that copy and each
+    col2im slice-add run their inner loop over the batch, not a 2-8 wide row;
+    for 1x1 convs the transposes of that layout cost more than they save."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -202,21 +203,18 @@ def conv2d(x, weight, bias, spec):
     ph, pw = spec.padding
     sh, sw = spec.stride
     pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
+    geometry = (spec.kernel, spec.stride, spec.dilation, (ho, wo))
 
-    if not pointwise:
+    if pointwise:
+        src = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
+    else:
         xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
         xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
-        taps = _taps(spec.kernel, spec.stride, spec.dilation, (ho, wo), 1)
+        src = _windows(xp, 1, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
 
     def columns():
-        if pointwise:
-            cols = np.empty((c, n, ho, wo), dtype=x.dtype)
-            cols[...] = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
-        else:
-            cols = np.empty((c, kh, kw, ho, wo, n), dtype=x.dtype)
-            for (i, j), tap in taps:
-                cols[:, i, j] = xp[tap]
-        return cols.reshape(g, cg * kh * kw, -1)
+        # one copy, or none when src is contiguous (1x1 at stride 1 and batch 1)
+        return np.ascontiguousarray(src).reshape(g, cg * kh * kw, -1)
 
     # NCHW axes in column order: (C, N, Ho, Wo) or (C, Ho, Wo, N); argsort inverts it
     col_axes = (1, 0, 2, 3) if pointwise else (1, 2, 3, 0)
@@ -242,8 +240,9 @@ def conv2d(x, weight, bias, spec):
             else:
                 dcols = dcols.reshape(c, kh, kw, ho, wo, n)
                 gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-                for (i, j), tap in taps:
-                    gxp[tap] += dcols[:, i, j]
+                gwin = _windows(gxp, 1, *geometry, writeable=True)
+                for i, j in np.ndindex(kh, kw):  # row-major taps
+                    gwin[i, j] += dcols[:, i, j]
                 gx = gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
         if bias is None:
             return gx, gw
@@ -407,21 +406,24 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     else:
         xp = x.data
-    taps = [tap for _, tap in _taps(kernel, stride, (1, 1), (ho, wo), 2)]
-    out = xp[taps[0]].copy()
+    geometry = (kernel, stride, (1, 1), (ho, wo))
+    win = _windows(xp, 2, *geometry)
+    taps = list(np.ndindex(kernel))  # row-major
+    out = win[taps[0]].copy()
     for tap in taps[1:]:
-        np.maximum(out, xp[tap], out=out)
+        np.maximum(out, win[tap], out=out)
 
     def vjp(grad):
         if not x.requires_grad:
             return (None,)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
+        gwin = _windows(gxp, 2, *geometry, writeable=True)
         unrouted = np.ones(out.shape, dtype=bool)
         for tap in taps:
-            hit = xp[tap] == out
+            hit = win[tap] == out
             hit &= unrouted
             unrouted ^= hit
-            gxp[tap] += grad * hit
+            gwin[tap] += grad * hit
         return (gxp[:, :, ph : ph + h, pw : pw + w],)
 
     return T.custom_op(out, (x,), vjp)

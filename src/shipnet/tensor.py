@@ -4,11 +4,13 @@ Values are contiguous numpy float32/float64 buffers. Every differentiable
 operation records its parents and a vector-Jacobian closure. One reverse walk
 from a scalar runs the closures in reverse topological order and frees each
 once it has run, so a graph is walked once: ``Tensor.backward`` fills ``grad``
-on leaves only, and ``grad(output, wrt)`` returns interior gradients.
+on leaves only, and ``grad(output, wrt)`` returns interior gradients. A parent
+is made before its child, so ``grad`` skips tensors made before all its targets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -19,6 +21,7 @@ FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 _debug_checks = False
+_created = itertools.count()  # creation numbers: a tensor's parents have smaller ones
 
 
 def set_debug_checks(on):
@@ -54,7 +57,7 @@ def _check_finite(arr, what):
 class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_done", "_seq")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=_as_dtype(dtype) if dtype is not None else None)
@@ -66,6 +69,7 @@ class Tensor:
         self._parents = ()
         self._vjp = None
         self._done = False
+        self._seq = next(_created)
 
     # ---- basic metadata ------------------------------------------------
 
@@ -105,6 +109,7 @@ class Tensor:
         out._parents = ()
         out._vjp = None
         out._done = False
+        out._seq = next(_created)
         out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
@@ -132,13 +137,15 @@ def _walk(output, wrt):
     """The reverse walk behind ``backward`` (``wrt`` None: every leaf) and
     ``grad``. Runs the vjps on paths from ``output`` to ``wrt`` in reverse
     topological order, each once its gradient is complete, then drops that
-    node's vjp and parents. Returns (tensor, gradient) for the leaves or
-    ``wrt`` tensors reached."""
+    node's vjp and parents. A tensor made before the earliest ``wrt`` tensor
+    cannot depend on any of them, so the walk does not descend into it.
+    Returns (tensor, gradient) for the leaves or ``wrt`` tensors reached."""
     if output.size != 1:
         raise RuntimeError(f"backward requires a scalar loss, got shape {output.shape}")
     if not output.requires_grad:
         raise RuntimeError("loss does not require grad; nothing to differentiate")
     targets = {id(t) for t in wrt or ()}
+    floor = min((t._seq for t in wrt or ()), default=0)
     order, visited, live = [], set(), set()
     stack = [(output, False)]
     while stack:
@@ -155,7 +162,7 @@ def _walk(output, wrt):
         visited.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents
-                     if p.requires_grad and id(p) not in visited)
+                     if p.requires_grad and p._seq >= floor and id(p) not in visited)
     output._done = True
 
     found = []
@@ -367,12 +374,10 @@ def relu(a):
 
 
 def sigmoid(a):
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below: exp never overflows
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
     def vjp(g):
         return (g * out_data * (1.0 - out_data),)

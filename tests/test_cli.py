@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shipnet
+import shipnet.cli
 from shipnet.cli import main
 from shipnet.config import RunConfig
 from shipnet.data import decode_ppm, read_ppm
@@ -310,6 +311,23 @@ class TestHeatmapCli:
         assert main(["heatmap", "--checkpoint", ckpt, "--image", img, "--method", method,
                      "--stage", stage, "--out", str(out)]) == 2
         assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, target", [("gradcam", "9"), ("gradcam", "-1"),
+                                                ("spatial-gate", "0")])
+    def test_bad_target_class_exits_2_before_reading_or_writing(self, tmp_path, corpus, capsys,
+                                                                monkeypatch, method, target):
+        ckpt = _checkpoint(tmp_path / "four.ckpt", 4)
+        out = tmp_path / "maps"
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(shipnet.cli, "read_ppm", no_read)
+        assert main(["heatmap", "--checkpoint", ckpt, "--image", os.path.join(corpus, "cargo"),
+                     "--method", method, "--target-class", target, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --target-class") and "Traceback" not in err
         assert not out.exists()
 
 

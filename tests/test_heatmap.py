@@ -153,6 +153,18 @@ class TestGradcamMap:
         H.gradcam_map(model, _img(13), stage=2, target_class=1)
         assert all(p.grad is g for p, g in zip(params, before))
 
+    def test_walk_bounded_at_the_activation_gives_the_full_walk_bits(self):
+        # the enhanced model's fusion laterals lead back into stages 3 and 4,
+        # below the stage-5 activation; x as a second target walks them all
+        model = build_model(ModelConfig.make("enhanced", **MICRO), seed=8).eval()
+        grads = []
+        for wrt_x in (False, True):
+            x = T.Tensor(_img(9)[None], requires_grad=True)
+            logits, act = _output_of(model, x, model.stage5)
+            grads.append(T.grad(logits[0, 1], [act, x] if wrt_x else [act]))
+        assert grads[1][1] is not None
+        assert grads[0][0].tobytes() == grads[1][0].tobytes()
+
     def test_predicted_class_default(self):
         model = _cbam_model(seed=5)
         img = _img(7)

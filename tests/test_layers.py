@@ -213,6 +213,36 @@ class TestConv2d:
             assert got.dtype == np.float32 and got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-4
 
+    @pytest.mark.parametrize("spec, hw", [
+        # CBAM's spatial gate: [avg, max] -> 1, 7x7
+        (L.Conv2dSpec(2, 1, 7, padding=3, bias=False), (8, 8)),
+        # the enhanced model's dilated spatial gate: per-pool 7x7 at dilation 2
+        (L.Conv2dSpec(2, 2, 7, padding=6, dilation=2, groups=2, bias=False), (8, 8)),
+        # unpadded stride-1 1x1: at batch 1 its columns are a view of x
+        (L.Conv2dSpec(4, 6, 1), (5, 7)),
+    ])
+    def test_batch_of_one_matches_float64_oracle_and_leaves_x(self, spec, hw):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((1, spec.in_channels) + hw).astype(np.float32)
+        w = (rng.standard_normal(spec.weight_shape()) * 0.5).astype(np.float32)
+        b = (rng.standard_normal(spec.out_channels) * 0.2).astype(np.float32)
+        xt = T.Tensor(x, requires_grad=True)
+        bias = T.Tensor(b, requires_grad=True) if spec.bias else None
+        out = L.conv2d(xt, T.Tensor(w, requires_grad=True), bias, spec)
+        assert np.array_equal(xt.data, x)
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        ref = naive_conv2d(x64, w64, b.astype(np.float64) if spec.bias else None,
+                           spec.stride, spec.padding, spec.dilation, spec.groups)
+        assert out.shape == ref.shape and np.max(np.abs(out.data - ref)) < 1e-4
+        grad = rng.standard_normal(ref.shape).astype(np.float32)
+        gx, gw = out._vjp(grad)[:2]
+        ref_gx, ref_gw, _ = naive_conv2d_vjp(x64, w64, grad.astype(np.float64), spec.stride,
+                                             spec.padding, spec.dilation, spec.groups)
+        assert np.array_equal(xt.data, x)
+        for got, want in ((gx, ref_gx), (gw, ref_gw)):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-4
+
     def test_im2col_equals_matmul_form_base_case(self):
         # stride 1, pad 0, dilation 1, groups 1: conv equals explicit im2col matmul
         x = _rand((2, 3, 6, 6), 7, dtype=np.float32)

@@ -155,6 +155,22 @@ class TestActivations:
         assert out.data[0] == pytest.approx(0.0)
         assert out.data[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_masked_formula(self, dtype):
+        x = np.concatenate([np.random.default_rng(8).standard_normal(10**5) * 30,
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 88.8, -88.8, 104.0,
+                             -104.0, 200.0, -200.0, np.nan]]).astype(dtype)
+        ref = np.empty_like(x)  # reference: the two-branch formula by boolean masks
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        out = T.Tensor(x).sigmoid().data
+        nan = np.isnan(x)
+        assert out.dtype == dtype
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
+
 
 class TestShapeOps:
     def test_concat(self):
@@ -268,6 +284,33 @@ class TestGrad:
         assert np.array_equal(g_mid, 2 * mid.data)
         graph()[1].backward()
         assert len(calls) == 1
+
+    def test_nested_targets_equal_backward(self):
+        # a is an ancestor of mid: the walk must still run every vjp down to a
+        a, _, mid, loss = _two_branch_graph()
+        ga, g_mid = T.grad(loss, [a, mid])
+        _, _, mid2, loss2 = _two_branch_graph()
+        (g_mid2,) = T.grad(loss2, [mid2])
+        a3, _, _, loss3 = _two_branch_graph()
+        loss3.backward()
+        assert np.array_equal(ga, a3.grad) and np.array_equal(g_mid, g_mid2)
+
+    def test_tensor_made_before_the_target_is_not_walked(self):
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return (g,)
+
+        x = T.Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
+        early = T.custom_op(2 * x.data, (x,), vjp)
+        early.sum().backward()  # walks early's tape, so a second walk through it raises
+        assert len(calls) == 1
+        target = x * x
+        loss = (target * early).sum()  # consumed downstream of the target too
+        (g,) = T.grad(loss, [target])
+        assert len(calls) == 1
+        assert np.array_equal(g, early.data)
 
     def test_second_walk_rejected(self):
         a, b, mid, loss = _two_branch_graph()
