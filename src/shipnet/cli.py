@@ -35,7 +35,7 @@ def _add_config_flags(sub):
                      help="run output directory (overrides out_dir)")
     sub.add_argument("--force", action="store_true",
                      help="clear the output directory if it already has content")
-    for key in ("variant", "preset", "seed", "epochs", "batch_size", "lr", "workers"):
+    for key in ("variant", "preset", "seed", "epochs", "batch_size", "lr"):
         sub.add_argument("--" + key.replace("_", "-"), dest=f"key_{key}", metavar=key.upper())
 
 
@@ -240,6 +240,10 @@ def cmd_heatmap(args):
     if args.target_class is not None and not 0 <= args.target_class < state.config.num_classes:
         raise CliError(f"--target-class {args.target_class} is out of range for a "
                        f"{state.config.num_classes}-class checkpoint")
+    if (args.method == "spatial-gate" and args.stage is not None
+            and args.stage not in state.config.cbam_stages):
+        raise CliError(f"--stage {args.stage} has no spatial attention gate in this "
+                       f"checkpoint (attention stages: {state.config.cbam_stages})")
 
     if os.path.isdir(args.image):
         images = sorted(os.path.join(args.image, f) for f in os.listdir(args.image)

@@ -10,6 +10,9 @@ from .models import (VARIANTS, ModelConfig, format_settings, parse_floats3,
                      parse_setting, settings_parsers)
 from .train import RunSpec
 
+# the model keys that override a variant's defaults only when set
+STRUCTURAL_KEYS = ("cbam_stages", "multiscale_fusion", "dwsep_stages", "dilated_stage5")
+
 
 @dataclass
 class RunConfig:
@@ -33,7 +36,7 @@ class RunConfig:
     val_fraction: float = 0.2
     split_ratio: float = 0.8
     drop_last: bool = False
-    workers: int = 1
+    workers: int = 1           # only 1; kept so config files listing workers=1 load
     # data surface
     data_dir: str = ""
     out_dir: str = ""
@@ -87,12 +90,14 @@ class RunConfig:
         if self.norm not in ("dataset", "custom"):
             raise ValueError("norm must be 'dataset' or 'custom'")
         for key, low in (("batch_size", 1), ("lr", 0), ("lr_decay_every", 1),
-                         ("rotation_deg", 0), ("workers", 1)):
+                         ("rotation_deg", 0), ("epochs", 0), ("base_width", 0)):
             value = getattr(self, key)
             if not low <= value < math.inf:
                 raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")
         if self.rotation_deg > 180:
             raise ValueError(f"rotation_deg must be <= 180, got {self.rotation_deg!r}")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers!r}")
         if not all(math.isfinite(v) for v in self.norm_mean):
             raise ValueError(f"norm_mean must be finite, got {self.norm_mean!r}")
         if not all(0 < v < math.inf for v in self.norm_std):
@@ -101,8 +106,10 @@ class RunConfig:
         return self
 
     def echo(self):
-        """Canonical resolved config text (sorted keys)."""
-        return format_settings({k: getattr(self, k) for k in _PARSERS})
+        """Canonical resolved config text (sorted keys); a structural key is
+        listed only when set, so the text loads back into the same run."""
+        return format_settings({k: getattr(self, k) for k in _PARSERS
+                                if k not in STRUCTURAL_KEYS or k in self._explicit})
 
     def model_config(self, variant=None):
         overrides = {}
@@ -113,21 +120,18 @@ class RunConfig:
         overrides["num_classes"] = self.num_classes
         overrides["reduction_ratio"] = self.reduction_ratio
         overrides["spatial_kernel"] = self.spatial_kernel
-        # structural keys override variant defaults only when set explicitly
-        for key in ("cbam_stages", "multiscale_fusion", "dwsep_stages", "dilated_stage5"):
+        for key in STRUCTURAL_KEYS:
             if key in self._explicit:
                 overrides[key] = getattr(self, key)
         return ModelConfig.make(variant or self.variant, preset=self.preset, **overrides)
 
-    def run_spec(self, norm_mean=None, norm_std=None):
+    def run_spec(self, norm_mean, norm_std):
         return RunSpec(
             epochs=self.epochs, batch_size=self.batch_size, base_lr=self.lr,
             lr_decay_factor=self.lr_decay_factor, lr_decay_every=self.lr_decay_every,
             seed=self.seed, val_fraction=self.val_fraction, augment=self.augment,
             rotation_deg=self.rotation_deg, hflip=self.hflip, vflip=self.vflip,
-            drop_last=self.drop_last, workers=self.workers,
-            norm_mean=tuple(norm_mean if norm_mean is not None else self.norm_mean),
-            norm_std=tuple(norm_std if norm_std is not None else self.norm_std),
+            drop_last=self.drop_last, norm_mean=tuple(norm_mean), norm_std=tuple(norm_std),
             resize_to=self.model_config().input_size,
         )
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +84,6 @@ class RunSpec:
     hflip: bool = True
     vflip: bool = True
     drop_last: bool = False
-    workers: int = 1
     norm_mean: tuple = (0.5, 0.5, 0.5)
     norm_std: tuple = (0.25, 0.25, 0.25)
     resize_to: tuple | None = None
@@ -112,13 +110,13 @@ def _epoch_rng(seed, epoch, *key):
         np.random.SeedSequence(entropy=seed, spawn_key=(epoch,) + key)))
 
 
-def _prepare_sample(sample, spec, train, seed, epoch, index):
+def _prepare_sample(sample, spec, train, epoch, index):
     img = sample.load()
     if spec.resize_to is not None and img.shape[1:] != tuple(spec.resize_to):
         img = resize_bilinear(img, spec.resize_to)
     if train and spec.augment:
-        # per-sample stream keyed by (epoch, index): worker-count independent
-        rng = _epoch_rng(seed, epoch, 1, index)
+        # per-sample stream keyed by (epoch, index): independent of the batching
+        rng = _epoch_rng(spec.seed, epoch, 1, index)
         img = augment(img, rng, max_rotation_deg=spec.rotation_deg,
                       hflip=spec.hflip, vflip=spec.vflip)
     return normalize(img, spec.norm_mean, spec.norm_std)
@@ -133,26 +131,14 @@ def iter_batches(samples, spec, train, epoch, shuffle):
     bs = spec.batch_size
     if bs < 1:
         raise ValueError("batch_size must be >= 1")
-    pool = ThreadPoolExecutor(spec.workers) if spec.workers > 1 else None
-    try:
-        for start in range(0, len(order), bs):
-            idx = order[start : start + bs]
-            if spec.drop_last and train and len(idx) < bs:
-                break
-            batch_samples = [samples[i] for i in idx]
-            if pool is not None:
-                imgs = list(pool.map(
-                    lambda si: _prepare_sample(si[1], spec, train, spec.seed, epoch, si[0]),
-                    zip(idx, batch_samples)))
-            else:
-                imgs = [_prepare_sample(s, spec, train, spec.seed, epoch, i)
-                        for i, s in zip(idx, batch_samples)]
-            x = np.stack(imgs).astype(np.float32, copy=False)
-            y = np.array([s.label for s in batch_samples], dtype=np.int64)
-            yield T.Tensor(x), y
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for start in range(0, len(order), bs):
+        idx = order[start : start + bs]
+        if spec.drop_last and train and len(idx) < bs:
+            break
+        imgs = [_prepare_sample(samples[i], spec, train, epoch, i) for i in idx]
+        x = np.stack(imgs).astype(np.float32, copy=False)
+        y = np.array([samples[i].label for i in idx], dtype=np.int64)
+        yield T.Tensor(x), y
 
 
 # ---- epoch loop -------------------------------------------------------------
@@ -186,6 +172,9 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
         total_loss += value * n
         correct += int((logits.data.argmax(axis=1) == y).sum())
         seen += n
+    if not seen:
+        raise ValueError(f"drop_last leaves no batch: {len(samples)} training samples "
+                         f"fill no batch of batch_size={spec.batch_size}")
     return total_loss / seen, correct / seen
 
 

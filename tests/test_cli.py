@@ -16,7 +16,7 @@ from shipnet.config import RunConfig
 from shipnet.data import decode_ppm, read_ppm
 from shipnet.heatmap import METHODS
 from shipnet.metrics import round2
-from shipnet.models import ModelConfig, build_model
+from shipnet.models import VARIANTS, ModelConfig, build_model
 from shipnet.train import AdamState, TrainState, checkpoint_save
 
 MICRO_SETS = ["--set", "preset=tiny", "--set", "input_size=32",
@@ -88,11 +88,13 @@ class TestArgHandling:
         (["--set", "lr_decay_every=0"], "lr_decay_every"),
         (["--set", "rotation_deg=-5"], "rotation_deg"),
         (["--set", "rotation_deg=1e308"], "rotation_deg"),
-        (["--workers", "-3"], "workers"),
+        (["--set", "workers=2"], "workers"),
         (["--set", "norm_std=0,0,0"], "norm_std"),
         (["--set", "norm_std=0.2,-0.2,0.2"], "norm_std"),
         (["--set", "norm_std=0.2,inf,0.2"], "norm_std"),
         (["--set", "norm_mean=0.5,nan,0.5"], "norm_mean"),
+        (["--set", "base_width=-4"], "base_width"),
+        (["--epochs", "-1"], "epochs"),
     ])
     def test_out_of_range_setting_exits_2_without_writing(self, tmp_path, corpus, capsys,
                                                           flags, key):
@@ -126,12 +128,22 @@ class TestArgHandling:
                                     ("out_dir", "runs/cbam")])
         assert cfg.echo() == (
             "augment=1\nbase_width=0\nbatch_size=128\ncbam_stages=3,4\ndata_dir=data\n"
-            "dilated_stage5=0\ndrop_last=0\ndwsep_stages=\nepochs=30\nexclude_below=0\n"
+            "drop_last=0\nepochs=30\nexclude_below=0\n"
             "hflip=0\ninput_size=0\nlenient_scan=0\nlr=0.001\nlr_decay_every=10\n"
-            "lr_decay_factor=0.1\nmultiscale_fusion=0\nnorm=custom\nnorm_mean=0.4,0.5,0.6\n"
+            "lr_decay_factor=0.1\nnorm=custom\nnorm_mean=0.4,0.5,0.6\n"
             "norm_std=0.25,0.25,0.25\nnum_classes=4\nout_dir=runs/cbam\npreset=full\n"
             "reduction_ratio=16\nrotation_deg=10.0\nseed=42\nspatial_kernel=7\n"
             "split_ratio=0.8\nval_fraction=0.2\nvariant=cbam\nvflip=1\nworkers=1\n")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_config_echo_loads_back_into_the_same_models(self, tmp_path, variant):
+        cfg = RunConfig.load(None, [("variant", variant), ("preset", "tiny")])
+        path = tmp_path / "config.txt"
+        path.write_text(cfg.echo())
+        reloaded = RunConfig.load(str(path))
+        assert reloaded.echo() == cfg.echo()
+        for v in VARIANTS:
+            assert reloaded.model_config(v) == cfg.model_config(v)
 
 
 CONFIG_TEXT = (b"# comment line\nepochs=1\nbatch_size=8\nlr=1e-3\npreset=tiny\n"
@@ -200,10 +212,11 @@ class TestTrainRunDir:
         assert len(lines) == 3
 
 
-def _checkpoint(path, num_classes, favoured=None):
+def _checkpoint(path, num_classes, favoured=None, **overrides):
     """An untrained cbam checkpoint, optionally scoring one class highest."""
     cfg = ModelConfig.make("cbam", preset="tiny", input_size=(32, 32), base_width=8,
-                           reduction_ratio=4, spatial_kernel=3, num_classes=num_classes)
+                           reduction_ratio=4, spatial_kernel=3, num_classes=num_classes,
+                           **overrides)
     model = build_model(cfg, seed=0)
     if favoured is not None:
         model.head.bias.data[favoured] = 50.0
@@ -313,11 +326,16 @@ class TestHeatmapCli:
         assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("method, target", [("gradcam", "9"), ("gradcam", "-1"),
-                                                ("spatial-gate", "0")])
+    @pytest.mark.parametrize("method, flags", [
+        pytest.param("gradcam", ["--target-class", "9"], id="gradcam-9"),
+        pytest.param("gradcam", ["--target-class", "-1"], id="gradcam--1"),
+        pytest.param("spatial-gate", ["--target-class", "0"], id="spatial-gate-0"),
+        pytest.param("spatial-gate", ["--stage", "2"], id="spatial-gate-stage-2"),
+    ])
     def test_bad_target_class_exits_2_before_reading_or_writing(self, tmp_path, corpus, capsys,
-                                                                monkeypatch, method, target):
-        ckpt = _checkpoint(tmp_path / "four.ckpt", 4)
+                                                                monkeypatch, method, flags):
+        # attention in stages 3-5 only: stage 2 has no spatial gate to map
+        ckpt = _checkpoint(tmp_path / "four.ckpt", 4, cbam_stages=(3, 4, 5))
         out = tmp_path / "maps"
 
         def no_read(path):
@@ -325,9 +343,9 @@ class TestHeatmapCli:
 
         monkeypatch.setattr(shipnet.cli, "read_ppm", no_read)
         assert main(["heatmap", "--checkpoint", ckpt, "--image", os.path.join(corpus, "cargo"),
-                     "--method", method, "--target-class", target, "--out", str(out)]) == 2
+                     "--method", method, "--out", str(out)] + flags) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --target-class") and "Traceback" not in err
+        assert err.startswith(f"error: {flags[0]}") and "Traceback" not in err
         assert not out.exists()
 
 
@@ -421,6 +439,13 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged") and "epoch 0, batch" in err
         assert not [f for f in os.listdir(out / "checkpoints") if f.endswith(".ckpt")]
+
+    def test_drop_last_without_a_full_batch_exits_1(self, tmp_path, corpus, capsys):
+        code = main(["train", "--data", corpus, "--out", str(tmp_path / "run"), "--epochs", "1",
+                     "--batch-size", "32", "--set", "drop_last=1", "--seed", "5"] + MICRO_SETS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: drop_last") and "batch_size=32" in err
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     def test_truncated_checkpoint_exits_1_without_traceback(self, tmp_path, corpus,

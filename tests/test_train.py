@@ -47,7 +47,7 @@ def micro_dataset(per_class=8, classes=4, size=32, seed=0):
 
 def micro_spec(**overrides):
     fields = dict(epochs=2, batch_size=8, base_lr=1e-3, seed=11, val_fraction=0.25,
-                  augment=False, workers=1, norm_mean=(0.5, 0.5, 0.5),
+                  augment=False, norm_mean=(0.5, 0.5, 0.5),
                   norm_std=(0.25, 0.25, 0.25))
     fields.update(overrides)
     return TR.RunSpec(**fields)
@@ -178,6 +178,13 @@ class TestTrainEpoch:
         model = build_model(config, seed=1)
         with pytest.raises(ValueError):
             TR.train_epoch(model, {}, [], TR.AdamState(), micro_spec(), 0)
+
+    def test_drop_last_without_a_full_batch_rejected(self):
+        model = build_model(micro_config(), seed=1)
+        spec = micro_spec(batch_size=64, drop_last=True)
+        with pytest.raises(ValueError, match="drop_last.*batch_size=64"):
+            TR.train_epoch(model, dict(model.named_parameters()), micro_dataset().samples,
+                           TR.AdamState(), spec, 0)
 
 
 class TestEvaluate:
@@ -452,21 +459,6 @@ class TestAugmentedBatches:
                             / std for i in idx])
             assert x.data.dtype == ref.dtype and x.data.tobytes() == ref.tobytes()
             assert np.array_equal(y, [ds.samples[i].label for i in idx])
-
-
-class TestWorkers:
-    def test_worker_count_does_not_change_batches(self):
-        ds = micro_dataset()
-        spec1 = micro_spec(augment=True, workers=1)
-        spec4 = micro_spec(augment=True, workers=4)
-        batches1 = [(x.data.copy(), y.copy()) for x, y in
-                    TR.iter_batches(ds.samples, spec1, True, 0, True)]
-        batches4 = [(x.data.copy(), y.copy()) for x, y in
-                    TR.iter_batches(ds.samples, spec4, True, 0, True)]
-        assert len(batches1) == len(batches4)
-        for (x1, y1), (x4, y4) in zip(batches1, batches4):
-            assert np.array_equal(x1, x4)
-            assert np.array_equal(y1, y4)
 
 
 class TestCheckpointValidation:
