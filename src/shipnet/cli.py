@@ -97,8 +97,8 @@ def _load_dataset(cfg, num_classes):
 
 def _start_run(cfg, force, notes):
     """The run directory with config.txt, metadata.txt and the data notes;
-    called once the data has passed its checks, so a rejected run writes
-    nothing."""
+    called once the data has passed its checks and been split, so a
+    rejected run writes nothing."""
     out_dir = _prepare_out_dir(cfg.out_dir, force)
     _write(os.path.join(out_dir, "config.txt"), cfg.echo())
     # the only file carrying wall-clock state
@@ -159,6 +159,10 @@ def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
 def cmd_gen_synth(args):
     if args.classes < 1 or args.classes > len(FAMILIES):
         raise CliError(f"--classes must be in [1, {len(FAMILIES)}]")
+    for flag, value, low in (("--per-class", args.per_class, 1), ("--size", args.size, 32),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise CliError(f"{flag} must be >= {low}, got {value}")
     out = _prepare_out_dir(args.out, args.force)
     paths = generate_synthetic(out, per_class=args.per_class, size=args.size,
                                seed=args.seed, classes=FAMILIES[: args.classes])
@@ -181,8 +185,8 @@ def cmd_train(args):
             raise CliError(f"--resume {args.resume} was trained with seed "
                            f"{resume_state.seed}, this run has seed {cfg.seed}")
     ds, notes = _load_dataset(cfg, cfg.num_classes)
-    out_dir = _start_run(cfg, args.force, notes)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
+    out_dir = _start_run(cfg, args.force, notes)
     _train_one(cfg, cfg.variant, train_set, test_set, out_dir,
                resume_path=args.resume, resume_state=resume_state)
     return 0
@@ -193,10 +197,10 @@ def cmd_eval(args):
     state = checkpoint_load(args.checkpoint)
     # the class count, like the model and the resize, comes from the checkpoint
     ds, notes = _load_dataset(cfg, state.config.num_classes)
-    out_dir = _start_run(cfg, args.force, notes)
     if args.split != "full":
         train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
         ds = train_set if args.split == "train" else test_set
+    out_dir = _start_run(cfg, args.force, notes)
     spec = cfg.run_spec(state.norm_mean, state.norm_std)
     spec.resize_to = state.config.input_size
     report, loss = evaluate(state.model, ds.samples, spec, ds.classes)
@@ -209,9 +213,9 @@ def cmd_eval(args):
 def cmd_compare(args):
     cfg = _load_config(args, VARIANTS)
     ds, notes = _load_dataset(cfg, cfg.num_classes)
-    out_dir = _start_run(cfg, args.force, notes)
     # one shared split and seed across all variants
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
+    out_dir = _start_run(cfg, args.force, notes)
     rows = []
     for variant in VARIANTS:
         vdir = os.path.join(out_dir, variant)

@@ -1,6 +1,6 @@
-"""Finite-difference verification sweep over every layer and attention
-block at 64-bit on small random shapes. Each check yields (loss, inputs)
-cases drawn from a generator; linear ops are held to 1e-6, the rest to 1e-4."""
+"""``grad_check`` and the finite-difference sweep over every layer and
+attention block at 64-bit on small random shapes. Each check draws (loss,
+inputs) cases from a generator; linear ops are held to 1e-6, others to 1e-4."""
 
 from __future__ import annotations
 
@@ -192,16 +192,59 @@ EPS = 1e-5
 REDRAWS = 8
 
 
-def _unsettled(f, inputs, tol):
+def numeric_grad(f, inputs, eps):
+    """Central differences of the scalar ``f`` for each tensor in ``inputs``;
+    each coordinate is moved by +/- eps in place and then restored."""
+    numeric = [np.empty(t.shape) for t in inputs]
+    with T.no_grad():
+        for t, num in zip(inputs, numeric):
+            flat = t.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = f(*inputs).item()
+                flat[i] = orig - eps
+                fm = f(*inputs).item()
+                flat[i] = orig
+                num.flat[i] = (fp - fm) / (2.0 * eps)
+    return numeric
+
+
+def rel_err(x, y):
+    """Elementwise |x - y| / (|x| + |y|), the denominator floored at 1e-12."""
+    return np.abs(x - y) / np.maximum(1e-12, np.abs(x) + np.abs(y))
+
+
+def _check(f, inputs, eps):
+    # grad_check's error, then the loss and the two gradients it compared
+    if not all(t.requires_grad for t in inputs):
+        raise ValueError("grad_check inputs must require grad")
+    loss = f(*inputs)
+    if loss.size != 1:
+        raise ValueError("grad_check needs a scalar-valued function")
+    analytic, numeric = T.grad(loss, inputs), numeric_grad(f, inputs, eps)
+    err = np.max([np.max(rel_err(a, n)) for a, n in zip(analytic, numeric)], initial=0.0)
+    return float(err), loss.item(), analytic, numeric
+
+
+def grad_check(f, inputs, eps=EPS):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` maps the given tensors to a scalar tensor. Inputs should be float64
+    leaves; each coordinate is perturbed by +/- eps in place.
+    """
+    return _check(f, list(inputs), eps)[0]
+
+
+def _unsettled(f, inputs, tol, loss, analytic, full):
     # A failing coordinate says nothing about the vjp when its central
     # difference moves by tol as the step halves (a ReLU, max or tie kink
     # within the step), or misses the analytic gradient by no more than that
     # move plus 64 units in the last place of the loss over the step (the
     # roundoff that swamps a near-zero gradient).
-    analytic = T.grad(f(*inputs), inputs)
-    full, half = T.numeric_grad(f, inputs, EPS), T.numeric_grad(f, inputs, EPS / 2)
-    roundoff = 64 * np.spacing(abs(f(*inputs).item())) / (2 * EPS)
-    return any(np.any((T.rel_err(a, n) >= tol) & ((T.rel_err(n, h) >= tol)
+    half = numeric_grad(f, inputs, EPS / 2)
+    roundoff = 64 * np.spacing(abs(loss)) / (2 * EPS)
+    return any(np.any((rel_err(a, n) >= tol) & ((rel_err(n, h) >= tol)
                       | (np.abs(a - n) <= np.abs(n - h) + roundoff)))
                for a, n, h in zip(analytic, full, half))
 
@@ -213,8 +256,9 @@ def check_error(check, rng, tol):
     for _ in range(REDRAWS):
         errs, redraw = [], False
         for f, inputs in check(rng):
-            errs.append(T.grad_check(f, inputs, EPS))
-            redraw = redraw or (not errs[-1] < tol and _unsettled(f, inputs, tol))
+            err, *compared = _check(f, inputs, EPS)
+            errs.append(err)
+            redraw = redraw or (not err < tol and _unsettled(f, inputs, tol, *compared))
         if not redraw:
             break
     return float(np.max(errs))

@@ -11,8 +11,6 @@ is made before its child, so ``grad`` skips tensors made before all its targets.
 from __future__ import annotations
 
 import itertools
-import math
-import struct
 from contextlib import contextmanager
 
 import numpy as np
@@ -476,112 +474,3 @@ Tensor.relu = relu
 Tensor.sigmoid = sigmoid
 Tensor.reshape = reshape
 
-
-# ---- gradient checking ------------------------------------------------------
-
-
-def grad_check(f, inputs, eps=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps the given tensors to a scalar tensor. Inputs should be float64
-    leaves; each coordinate is perturbed by +/- eps in place.
-    """
-    inputs = list(inputs)
-    if not all(t.requires_grad for t in inputs):
-        raise ValueError("grad_check inputs must require grad")
-    loss = f(*inputs)
-    if loss.size != 1:
-        raise ValueError("grad_check needs a scalar-valued function")
-    return float(np.max([np.max(rel_err(a, n)) for a, n in
-                         zip(grad(loss, inputs), numeric_grad(f, inputs, eps))], initial=0.0))
-
-
-def numeric_grad(f, inputs, eps=1e-5):
-    """Central differences of the scalar ``f`` for each tensor in ``inputs``;
-    each coordinate is moved by +/- eps in place and then restored."""
-    numeric = [np.empty(t.shape) for t in inputs]
-    with no_grad():
-        for t, num in zip(inputs, numeric):
-            flat = t.data.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = f(*inputs).item()
-                flat[i] = orig - eps
-                fm = f(*inputs).item()
-                flat[i] = orig
-                num.flat[i] = (fp - fm) / (2.0 * eps)
-    return numeric
-
-
-def rel_err(x, y):
-    """Elementwise |x - y| / (|x| + |y|), the denominator floored at 1e-12."""
-    return np.abs(x - y) / np.maximum(1e-12, np.abs(x) + np.abs(y))
-
-
-# ---- tensor records and the fixture format ----------------------------------
-#
-# A tensor record is ``dtype u8, rank u8, extents u64*, little-endian payload``.
-# The CBNT fixture format is magic + version + one record; each entry of the
-# CBCK checkpoint tensor table is a name + one record.
-
-_MAGIC = b"CBNT"
-_VERSION = 1
-_DTYPE_CODE = {"float32": 0, "float64": 1}
-_CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-def unpack(fmt, raw, offset):
-    """``struct.unpack_from`` returning (values, next offset); raises
-    ValueError instead of reading past the end of ``raw``."""
-    size = struct.calcsize(fmt)
-    if offset + size > len(raw):
-        raise ValueError(f"truncated: {size} bytes needed at offset {offset}, "
-                         f"{len(raw) - offset} left")
-    return struct.unpack_from(fmt, raw, offset), offset + size
-
-
-def write_record(fh, arr):
-    fh.write(struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODE[arr.dtype.name], arr.ndim, *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-
-
-def read_record(raw, offset):
-    """Decode one record at ``offset`` into a fresh native-order array;
-    returns (array, offset past the payload)."""
-    (code, rank), offset = unpack("<BB", raw, offset)
-    if code not in _CODE_DTYPE:
-        raise ValueError(f"unknown dtype code {code}")
-    dtype = _CODE_DTYPE[code]
-    extents, offset = unpack(f"<{rank}Q", raw, offset)
-    count = math.prod(extents)
-    end = offset + count * dtype.itemsize
-    if end > len(raw):
-        raise ValueError(f"truncated payload: {count} x {dtype.name} needed at offset "
-                         f"{offset}, {len(raw) - offset} bytes left")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(extents)
-    return arr.astype(dtype.newbyteorder("=")), end
-
-
-def save_tensor(path, t):
-    """Write ``magic CBNT, version u16`` and one tensor record."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<H", _VERSION))
-        write_record(fh, t.data)
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        if raw[:4] != _MAGIC:
-            raise ValueError(f"bad magic {raw[:4]!r}")
-        (version,), offset = unpack("<H", raw, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        arr, offset = read_record(raw, offset)
-        if offset != len(raw):
-            raise ValueError(f"{len(raw) - offset} trailing bytes")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return Tensor(arr)

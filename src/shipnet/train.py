@@ -204,12 +204,48 @@ def evaluate(model, samples, spec, classes):
 
 _CKPT_MAGIC = b"CBCK"
 _CKPT_VERSION = 1
+# each tensor table entry is a name and one record:
+# ``dtype u8, rank u8, extents u64*, little-endian payload``
+_DTYPE_CODE = {"float32": 0, "float64": 1}
+_CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 # the metadata block: TrainState fields, and AdamState scalars under "adam_"
 _META_PARSERS = {
     "epoch": int, "seed": int, "best_val_acc": float, "best_epoch": int,
     "norm_mean": parse_floats3, "norm_std": parse_floats3,
     "adam_beta1": float, "adam_beta2": float, "adam_eps": float, "adam_t": int,
 }
+
+
+def unpack(fmt, raw, offset):
+    """``struct.unpack_from`` returning (values, next offset); raises
+    ValueError instead of reading past the end of ``raw``."""
+    size = struct.calcsize(fmt)
+    if offset + size > len(raw):
+        raise ValueError(f"truncated: {size} bytes needed at offset {offset}, "
+                         f"{len(raw) - offset} left")
+    return struct.unpack_from(fmt, raw, offset), offset + size
+
+
+def write_record(fh, arr):
+    fh.write(struct.pack(f"<BB{arr.ndim}Q", _DTYPE_CODE[arr.dtype.name], arr.ndim, *arr.shape))
+    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+
+
+def read_record(raw, offset):
+    """Decode one record at ``offset`` into a fresh native-order array;
+    returns (array, offset past the payload)."""
+    (code, rank), offset = unpack("<BB", raw, offset)
+    if code not in _CODE_DTYPE:
+        raise ValueError(f"unknown dtype code {code}")
+    dtype = _CODE_DTYPE[code]
+    extents, offset = unpack(f"<{rank}Q", raw, offset)
+    count = math.prod(extents)
+    end = offset + count * dtype.itemsize
+    if end > len(raw):
+        raise ValueError(f"truncated payload: {count} x {dtype.name} needed at offset "
+                         f"{offset}, {len(raw) - offset} bytes left")
+    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(extents)
+    return arr.astype(dtype.newbyteorder("=")), end
 
 
 def _write_block(fh, text):
@@ -219,8 +255,8 @@ def _write_block(fh, text):
 
 
 def _read_block(raw, offset):
-    (n,), offset = T.unpack("<I", raw, offset)
-    (text,), offset = T.unpack(f"<{n}s", raw, offset)
+    (n,), offset = unpack("<I", raw, offset)
+    (text,), offset = unpack(f"<{n}s", raw, offset)
     return text.decode(), offset
 
 
@@ -250,7 +286,7 @@ def checkpoint_save(state, path):
             raw_name = name.encode()
             fh.write(struct.pack("<H", len(raw_name)))
             fh.write(raw_name)
-            T.write_record(fh, tensors[name])
+            write_record(fh, tensors[name])
     os.replace(tmp, path)
 
 
@@ -270,7 +306,7 @@ def checkpoint_load(path, expected_config=None):
 def _decode_checkpoint(raw, expected_config):
     if raw[:4] != _CKPT_MAGIC:
         raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
-    (version,), offset = T.unpack("<H", raw, 4)
+    (version,), offset = unpack("<H", raw, 4)
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     config_text, offset = _read_block(raw, offset)
@@ -282,15 +318,15 @@ def _decode_checkpoint(raw, expected_config):
     adam = AdamState(**{k[5:]: v for k, v in meta.items() if k.startswith("adam_")})
     run = {k: v for k, v in meta.items() if not k.startswith("adam_")}
 
-    (count,), offset = T.unpack("<I", raw, offset)
+    (count,), offset = unpack("<I", raw, offset)
     tensors = {}
     for _ in range(count):
-        (name_len,), offset = T.unpack("<H", raw, offset)
-        (name,), offset = T.unpack(f"<{name_len}s", raw, offset)
+        (name_len,), offset = unpack("<H", raw, offset)
+        (name,), offset = unpack(f"<{name_len}s", raw, offset)
         name = name.decode()
         if name in tensors:
             raise ValueError(f"tensor {name} stored twice")
-        tensors[name], offset = T.read_record(raw, offset)
+        tensors[name], offset = read_record(raw, offset)
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after the tensor table")
 

@@ -3,6 +3,7 @@ import pytest
 
 from shipnet import tensor as T
 from shipnet.attention import CBAM, ChannelAttention, SpatialAttention, set_attention_bypass
+from shipnet.gradcheck import grad_check
 from shipnet.layers import watch
 
 from oracles import (naive_channel_attention, naive_improved_spatial_attention,
@@ -144,7 +145,7 @@ class TestCBAMBlock:
         x = T.normal((2, 8, 4, 4), 1.0, rng, dtype=np.float64, requires_grad=True)
         r = T.normal((2, 8, 4, 4), 1.0, rng, dtype=np.float64)
         inputs = [x] + [p for _, p in mod.named_parameters()]
-        err = T.grad_check(lambda *args: (mod(args[0]) * r).sum(), inputs)
+        err = grad_check(lambda *args: (mod(args[0]) * r).sum(), inputs)
         assert err < 1e-4
 
     def test_output_magnitude_never_exceeds_input(self):

@@ -58,6 +58,20 @@ class TestGenSynth:
         assert main(["gen-synth", "--per-class", "1", "--classes", "9",
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags,flag", [
+        (["--size", "16"], "--size"),
+        (["--seed", "-1"], "--seed"),
+        (["--per-class", "0"], "--per-class"),
+    ])
+    def test_bad_argument_exits_2_and_keeps_the_corpus(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "data"
+        args = ["gen-synth", "--per-class", "1", "--size", "32", "--out", str(out)]
+        assert main(args) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(args + ["--force"] + flags) == 2
+        assert flag in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
 
 class TestArgHandling:
     def test_unknown_flag_exits_2_without_writing(self, tmp_path):
@@ -95,6 +109,9 @@ class TestArgHandling:
         (["--set", "norm_mean=0.5,nan,0.5"], "norm_mean"),
         (["--set", "base_width=-4"], "base_width"),
         (["--epochs", "-1"], "epochs"),
+        (["--seed", "-1"], "seed"),
+        (["--set", "lr_decay_factor=-1"], "lr_decay_factor"),
+        (["--set", "lr_decay_factor=nan"], "lr_decay_factor"),
     ])
     def test_out_of_range_setting_exits_2_without_writing(self, tmp_path, corpus, capsys,
                                                           flags, key):
@@ -446,6 +463,22 @@ class TestFailureModes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: drop_last") and "batch_size=32" in err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", []), ("compare", []), ("eval", ["--split", "train"]),
+        ("eval", ["--split", "test"]),
+    ], ids=["train", "compare", "eval-train", "eval-test"])
+    def test_unsplittable_corpus_exits_1_without_writing(self, tmp_path, capsys, command,
+                                                         flags):
+        data = tmp_path / "data"
+        assert main(["gen-synth", "--per-class", "1", "--size", "32", "--out", str(data)]) == 0
+        if command == "eval":
+            flags = flags + ["--checkpoint", _checkpoint(tmp_path / "four.ckpt", 4)]
+        out = tmp_path / "run"
+        assert main([command, "--data", str(data), "--out", str(out), "--epochs", "1"]
+                    + MICRO_SETS + flags) == 1
+        assert "need >= 2 to split" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])
     def test_truncated_checkpoint_exits_1_without_traceback(self, tmp_path, corpus,

@@ -1,11 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shipnet import tensor as T
+from shipnet.gradcheck import grad_check
 
 
 class TestCreate:
@@ -48,7 +47,7 @@ class TestBroadcastBinary:
         rng = T.make_rng(0)
         a = T.normal((2, 3), 1.0, rng, dtype=np.float64, requires_grad=True)
         b = T.normal((1, 3), 1.0, rng, dtype=np.float64, requires_grad=True)
-        err = T.grad_check(lambda x, y: ((x + y) * (x + y)).sum(), [a, b])
+        err = grad_check(lambda x, y: ((x + y) * (x + y)).sum(), [a, b])
         assert err < 1e-6
 
     @given(rows=st.integers(1, 4), cols=st.integers(1, 4),
@@ -82,7 +81,7 @@ class TestMatmul:
         a = T.normal((4, 5), 1.0, rng, dtype=np.float64, requires_grad=True)
         b = T.normal((5, 3), 1.0, rng, dtype=np.float64, requires_grad=True)
         r = T.normal((4, 3), 1.0, rng, dtype=np.float64)
-        err = T.grad_check(lambda x, y: ((x @ y) * r).sum(), [a, b])
+        err = grad_check(lambda x, y: ((x @ y) * r).sum(), [a, b])
         assert err < 1e-6
 
 
@@ -324,17 +323,17 @@ class TestGrad:
 class TestGradCheck:
     def test_linear_function_exact(self):
         x = T.Tensor([1, 2, 3, 4], dtype=np.float64, requires_grad=True)
-        assert T.grad_check(lambda t: t.sum(), [x]) < 1e-9
+        assert grad_check(lambda t: t.sum(), [x]) < 1e-9
 
     def test_sigmoid_sum_at_zero(self):
         x = T.zeros((3,), dtype=np.float64, requires_grad=True)
-        err = T.grad_check(lambda t: t.sigmoid().sum(), [x])
+        err = grad_check(lambda t: t.sigmoid().sum(), [x])
         assert err < 1e-9
 
     def test_rejects_non_scalar(self):
         x = T.zeros((3,), dtype=np.float64, requires_grad=True)
         with pytest.raises(ValueError):
-            T.grad_check(lambda t: t * t, [x])
+            grad_check(lambda t: t * t, [x])
 
 
 class TestDeterminismAndDebug:
@@ -362,90 +361,3 @@ class TestDeterminismAndDebug:
         finally:
             T.set_debug_checks(False)
 
-
-class TestFixtureFormat:
-    def test_roundtrip(self, tmp_path):
-        rng = T.make_rng(5)
-        t = T.normal((3, 4, 5), 1.0, rng, dtype=np.float64)
-        path = tmp_path / "t.cbnt"
-        T.save_tensor(path, t)
-        back = T.load_tensor(path)
-        assert back.dtype == t.dtype
-        assert np.array_equal(back.data, t.data)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.cbnt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            T.load_tensor(path)
-
-    def test_header_layout(self, tmp_path):
-        t = T.Tensor([1.0, 2.0], dtype=np.float32)
-        path = tmp_path / "t.cbnt"
-        T.save_tensor(path, t)
-        raw = path.read_bytes()
-        assert raw[:4] == b"CBNT"
-        assert raw[4:6] == b"\x01\x00"      # version u16 LE
-        assert raw[6] == 0                   # float32 code
-        assert raw[7] == 1                   # rank
-        assert int.from_bytes(raw[8:16], "little") == 2
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "t.cbnt"
-        T.save_tensor(path, T.Tensor([1.0, 2.0], dtype=np.float32))
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            T.load_tensor(path)
-
-    def test_record_codec_shared_layout(self, tmp_path):
-        # a CBNT file is its 6-byte header followed by exactly one record
-        t = T.normal((2, 3), 1.0, T.make_rng(1), dtype=np.float64)
-        path = tmp_path / "t.cbnt"
-        T.save_tensor(path, t)
-        raw = path.read_bytes()
-        arr, end = T.read_record(raw, 6)
-        assert end == len(raw)
-        assert arr.dtype == np.float64 and np.array_equal(arr, t.data)
-        assert arr.flags.writeable and arr.flags.c_contiguous
-
-
-def _fixture_bytes():
-    buf = io.BytesIO()
-    buf.write(b"CBNT\x01\x00")
-    T.write_record(buf, T.normal((2, 3, 4), 1.0, T.make_rng(3)).data)
-    return buf.getvalue()
-
-
-FIXTURE = _fixture_bytes()
-
-
-def _load_or_value_error(tmp_path_factory, raw):
-    path = tmp_path_factory.getbasetemp() / "fuzz.cbnt"
-    path.write_bytes(raw)
-    try:
-        return T.load_tensor(path)
-    except ValueError:
-        return None
-
-
-class TestFixtureDecoderFuzz:
-    """Mutated CBNT files either load or raise ValueError, nothing else."""
-
-    @given(st.integers(0, len(FIXTURE) - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_truncated_at_any_byte(self, tmp_path_factory, cut):
-        assert _load_or_value_error(tmp_path_factory, FIXTURE[:cut]) is None
-
-    @given(st.lists(st.tuples(st.integers(0, 31), st.integers(1, 255)), min_size=1,
-                    max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_header_bytes_flipped(self, tmp_path_factory, flips):
-        raw = bytearray(FIXTURE)
-        for pos, mask in flips:
-            raw[pos] ^= mask
-        _load_or_value_error(tmp_path_factory, bytes(raw))
-
-    @given(st.binary(min_size=1, max_size=16))
-    @settings(max_examples=10, deadline=None)
-    def test_appended_bytes(self, tmp_path_factory, extra):
-        assert _load_or_value_error(tmp_path_factory, FIXTURE + extra) is None

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import tempfile
@@ -319,6 +320,42 @@ class TestCheckpoint:
                 b"seed=42\n")
         head = b"CBCK\x01\x00" + b"".join(struct.pack("<I", len(b)) + b for b in (config, meta))
         assert Path(path).read_bytes().startswith(head)
+
+    def test_tensor_record_layout(self):
+        # dtype code, rank, u64 extents, then the payload little-endian
+        # whatever the array's byte order
+        arr = np.arange(6.0).reshape(2, 3).astype(">f8")
+        buf = io.BytesIO()
+        TR.write_record(buf, arr)
+        raw = buf.getvalue()
+        assert raw == struct.pack("<BB2Q", 1, 2, 2, 3) + arr.astype("<f8").tobytes()
+        back, end = TR.read_record(raw, 0)
+        assert end == len(raw)
+        assert back.dtype == np.float64 and np.array_equal(back, arr)
+        assert back.flags.writeable and back.flags.c_contiguous and back.dtype.isnative
+
+    def test_table_entry_layout(self, tmp_path):
+        state = self._state("baseline")
+        path = str(tmp_path / "a.ckpt")
+        TR.checkpoint_save(state, path)
+        raw = Path(path).read_bytes()
+        name = b"adam.m.head.bias"
+        bias = state.adam.m["head.bias"]
+        entry = (struct.pack("<H", len(name)) + name + struct.pack("<BBQ", 0, 1, bias.size)
+                 + bias.astype("<f4").tobytes())
+        assert entry in raw
+
+    def test_loaded_tensors_are_writeable_native_arrays(self, tmp_path):
+        # Adam and BatchNorm update these in place: none may be a read-only
+        # view of the file's bytes
+        path = str(tmp_path / "a.ckpt")
+        TR.checkpoint_save(self._state(), path)
+        loaded = TR.checkpoint_load(path)
+        arrays = [t.data for _, t in loaded.model.named_parameters()]
+        arrays += [t.data for _, t in loaded.model.named_buffers()]
+        arrays += list(loaded.adam.m.values()) + list(loaded.adam.v.values())
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype.isnative
 
     def test_micro_checkpoint_small(self, tmp_path):
         state = self._state()
