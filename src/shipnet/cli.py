@@ -280,6 +280,8 @@ def cmd_heatmap(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     results = run_sweep(seed=args.seed, emit=print)
     return 0 if all(ok for _, _, _, ok in results) else 1
 

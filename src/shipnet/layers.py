@@ -1,15 +1,21 @@
 """Neural-network layers over the autodiff core.
 
+Activations keep their NCHW shapes, but conv, batch norm and max pool store
+them batch-innermost: each output is an ``out.transpose(3, 0, 1, 2)`` view of
+a (C, H, W, N) buffer, and each of these layers reads its input and incoming
+gradient through ``.transpose(1, 2, 3, 0)``, a free view of such a buffer, so
+no layout copy runs between them. They accept either memory order.
+
 Convolution supports stride, zero padding, dilation and groups (cross
 correlation, the usual deep-learning convention). The forward builds a
-group-major im2col buffer, batch-innermost unless the conv is an unpadded
-1x1, by one copy out of a strided window view of its input, and contracts it
-with the kernel, one matmul per group; the weight gradient copies the columns
-again, and the input gradient is folded back by one slice-add per kernel tap
-through a window view of its buffer (col2im). Max pooling is a running
-maximum over the kernel taps. Batch normalization and cross entropy are fused
-ops with hand-written backward rules. The vjps read their parents' ``.data``,
-so nothing may write into a recorded tensor's data before the walk.
+batch-innermost, group-major im2col buffer by one copy out of a strided
+window view of its input, and contracts it with the kernel, one matmul per
+group; the weight gradient copies the columns again, and the input gradient
+is folded back by one slice-add per kernel tap through a window view of its
+buffer (col2im). Max pooling is a running maximum over the kernel taps. Batch
+normalization and cross entropy are fused ops with hand-written backward
+rules. The vjps read their parents' ``.data``, so nothing may write into a
+recorded tensor's data before the walk.
 """
 
 from __future__ import annotations
@@ -167,29 +173,39 @@ class Conv2dSpec:
                 f"bias={self.bias})")
 
 
-def _windows(a, axis, kernel, stride, dilation, out_hw, writeable=False):
-    # View of the padded array ``a``, its rows and columns at ``axis`` and
-    # ``axis + 1``, with two leading tap axes: [i, j, ..., y, x, ...] is the
-    # element that kernel tap (i, j) reads for output position (y, x).
-    st, rows, cols = a.strides, a.strides[axis], a.strides[axis + 1]
-    shape = kernel + a.shape[:axis] + out_hw + a.shape[axis + 2 :]
-    strides = ((rows * dilation[0], cols * dilation[1]) + st[:axis]
-               + (rows * stride[0], cols * stride[1]) + st[axis + 2 :])
+def _windows(a, kernel, stride, dilation, out_hw, writeable=False):
+    # View of a padded (C, Hp, Wp, N) array with two leading tap axes:
+    # [i, j, c, y, x, n] is the element that kernel tap (i, j) reads for
+    # output position (y, x).
+    st = a.strides
+    shape = kernel + a.shape[:1] + out_hw + a.shape[3:]
+    strides = ((st[1] * dilation[0], st[2] * dilation[1]) + st[:1]
+               + (st[1] * stride[0], st[2] * stride[1]) + st[3:])
     return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=writeable)
+
+
+def _rows(a):
+    # (C, H*W*N) rows of an NCHW-shaped array: a view when it is batch-innermost
+    return a.transpose(1, 2, 3, 0).reshape(a.shape[1], -1)
+
+
+def _from_rows(rows, shape):
+    # NCHW-shaped, batch-innermost view of (C, H*W*N) rows
+    n, c, h, w = shape
+    return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
 
 def conv2d(x, weight, bias, spec):
     """Grouped/strided/dilated 2-D cross correlation, differentiable in all
-    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw, cols)
-    is built for the forward and again for the weight gradient, each one
-    matmul per group, so the tape keeps only the source of its columns. An
-    unpadded 1x1 conv takes channel-major columns (N*Ho*Wo) from x by one
-    strided copy (a view if contiguous, as at stride 1 and batch 1), and its
-    input gradient is one strided assignment. Every other conv copies its
-    columns at once from a (C, kh, kw, Ho, Wo, N) window view of a zero-padded
-    (C, Hp, Wp, N) copy of x, which the tape keeps, so that copy and each
-    col2im slice-add run their inner loop over the batch, not a 2-8 wide row;
-    for 1x1 convs the transposes of that layout cost more than they save."""
+    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw,
+    Ho*Wo*N) is built for the forward and again for the weight gradient, each
+    one matmul per group, so the tape keeps only the source of its columns.
+    An unpadded 1x1 conv's columns are a (C, Ho, Wo, N) view of x, copied
+    only if strided or x is not batch-innermost; at stride 1 its forward and
+    gradients are plain matmuls. Every other conv copies its columns from a
+    (C, kh, kw, Ho, Wo, N) window view of a zero-padded (C, Hp, Wp, N) copy
+    of x, which the tape keeps; that copy and each col2im slice-add run their
+    inner loop over the batch. The output is batch-innermost."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -201,56 +217,51 @@ def conv2d(x, weight, bias, spec):
     og = spec.out_channels // g
     kh, kw = spec.kernel
     ph, pw = spec.padding
-    sh, sw = spec.stride
     pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
     geometry = (spec.kernel, spec.stride, spec.dilation, (ho, wo))
 
     if pointwise:
-        src = x.data[:, :, ::sh, ::sw].transpose(1, 0, 2, 3)
+        src = x.data.transpose(1, 2, 3, 0)[:, :: spec.stride[0], :: spec.stride[1]]
     else:
         xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
         xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
-        src = _windows(xp, 1, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
+        src = _windows(xp, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
 
     def columns():
-        # one copy, or none when src is contiguous (1x1 at stride 1 and batch 1)
+        # one copy, or none when src is contiguous (a batch-innermost 1x1 at stride 1)
         return np.ascontiguousarray(src).reshape(g, cg * kh * kw, -1)
 
-    # NCHW axes in column order: (C, N, Ho, Wo) or (C, Ho, Wo, N); argsort inverts it
-    col_axes = (1, 0, 2, 3) if pointwise else (1, 2, 3, 0)
-    out_cols = (spec.out_channels,) + ((n, ho, wo) if pointwise else (ho, wo, n))
     kmat = weight.data.reshape(g, og, cg * kh * kw)
-    out = np.matmul(kmat, columns()).reshape(out_cols).transpose(np.argsort(col_axes))
-    out = np.ascontiguousarray(out)
+    out = np.matmul(kmat, columns()).reshape(spec.out_channels, ho, wo, n)
     if bias is not None:
-        out += bias.data.reshape(1, -1, 1, 1)
+        out += bias.data.reshape(-1, 1, 1, 1)
 
     def vjp(grad):
         gx = gw = None
-        gg = np.ascontiguousarray(grad.transpose(col_axes)).reshape(g, og, -1)
+        gg = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(g, og, -1)
         if weight.requires_grad:
             gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(weight.shape)
         if x.requires_grad:
             kt = kmat.transpose(0, 2, 1)
             # one output channel per group (depthwise): dcols is an outer product
             dcols = kt * gg if og == 1 else np.matmul(kt, gg)
-            if pointwise:
-                gx = (np.empty if spec.stride == (1, 1) else np.zeros)(x.shape, dtype=x.dtype)
-                gx[:, :, ::sh, ::sw] = dcols.reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
+            if pointwise and spec.stride == (1, 1):
+                gxb = dcols.reshape(c, h, w, n)
             else:
                 dcols = dcols.reshape(c, kh, kw, ho, wo, n)
                 gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-                gwin = _windows(gxp, 1, *geometry, writeable=True)
+                gwin = _windows(gxp, *geometry, writeable=True)
                 for i, j in np.ndindex(kh, kw):  # row-major taps
                     gwin[i, j] += dcols[:, i, j]
-                gx = gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
+                gxb = gxp[:, ph : ph + h, pw : pw + w]
+            gx = gxb.transpose(3, 0, 1, 2)
         if bias is None:
             return gx, gw
         gb = gg.sum(axis=2).reshape(-1) if bias.requires_grad else None
         return gx, gw, gb
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
-    return T.custom_op(out, parents, vjp)
+    return T.custom_op(out.transpose(3, 0, 1, 2), parents, vjp)
 
 
 class Conv2d(Module):
@@ -287,11 +298,6 @@ class DepthwiseSeparableConv2d(Module):
 # ---- batch normalization ----------------------------------------------------
 
 
-def _channel_sum(column_sums, channels):
-    # Per-channel totals of an (N, C*H*W) array, given its sums over N.
-    return column_sums.reshape(channels, -1).sum(axis=1)
-
-
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, H, W).
 
@@ -299,10 +305,10 @@ class BatchNorm2d(Module):
     eps) and updates running statistics by exponential moving average. Eval
     mode depends only on the running statistics.
 
-    Both work on an (N, C*H*W) view: a per-channel vector is repeated H*W
-    times along whole rows, and a per-channel sum is a column sum over N
-    followed by a (C, H*W) row sum, so no full-size pass runs its inner
-    loop over a 1-64 element H*W plane.
+    Both work on (C, H*W*N) rows, a view of a batch-innermost input (a copy
+    of any other, which the tape does not keep): per-channel vectors broadcast
+    down a column and per-channel sums are row sums, so every full-size pass
+    runs its inner loop along a whole row. The output is batch-innermost.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
@@ -318,78 +324,55 @@ class BatchNorm2d(Module):
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects [N,{self.channels},H,W], got {x.shape}")
-        if self.training:
-            return self._forward_train(x)
-        return self._forward_eval(x)
-
-    def _forward_eval(self, x):
-        n, c, h, w = x.shape
-        s = h * w
-        xv = x.data.reshape(n, c * s)
-        inv_std = 1.0 / np.sqrt(self.running_var.data + self.eps)
-        scale = self.gamma.data * inv_std
-        out = xv * np.repeat(scale, s)
-        out += np.repeat(self.beta.data - self.running_mean.data * scale, s)
-
-        def vjp(grad):
-            gv = grad.reshape(n, c * s)
-            gx = (gv * np.repeat(scale, s)).reshape(x.shape) if x.requires_grad else None
-            gg = gb = None
-            if self.gamma.requires_grad:
-                centred = xv - np.repeat(self.running_mean.data, s)
-                gg = _channel_sum(np.einsum("nk,nk->k", gv, centred), c) * inv_std
-            if self.beta.requires_grad:
-                gb = _channel_sum(gv.sum(axis=0), c)
-            return gx, gg, gb
-
-        return T.custom_op(out.reshape(x.shape), (x, self.gamma, self.beta), vjp)
-
-    def _forward_train(self, x):
-        n, c, h, w = x.shape
-        s = h * w
-        m = n * s
-        xv = x.data.reshape(n, c * s)
-        mu = _channel_sum(xv.sum(axis=0), c) / m
-        xhat = xv - np.repeat(mu, s)
-        var = _channel_sum(np.einsum("nk,nk->k", xhat, xhat), c) / m
+        xv = _rows(x.data)
+        m = xv.shape[1]
+        training = self.training
+        if training:
+            mean = np.einsum("ck->c", xv) / m
+            out = xv - mean[:, None]  # the centred rows, whose buffer then takes the output
+            var = np.einsum("ck,ck->c", out, out) / m
+            mom = self.momentum
+            for buf, stat in ((self.running_mean, mean), (self.running_var, var)):
+                buf.data = ((1 - mom) * buf.data + mom * stat).astype(buf.dtype, copy=False)
+        else:
+            mean, var = self.running_mean.data, self.running_var.data
+            out = np.empty_like(xv)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= np.repeat(inv_std, s)
-        out = xhat  # the vjp rebuilds x-hat, so its buffer becomes the output
-        out *= np.repeat(self.gamma.data, s)
-        out += np.repeat(self.beta.data, s)
-
-        mom = self.momentum
-        for buf, stat in ((self.running_mean, mu), (self.running_var, var)):
-            buf.data = ((1 - mom) * buf.data + mom * stat).astype(buf.dtype, copy=False)
+        scale = self.gamma.data * inv_std
+        np.multiply(xv, scale[:, None], out=out)
+        out += (self.beta.data - mean * scale)[:, None]
 
         def vjp(grad):
-            xhat = xv - np.repeat(mu, s)  # the forward's expression, bit for bit
-            xhat *= np.repeat(inv_std, s)
-            gv = grad.reshape(n, c * s)
-            sum_g = _channel_sum(gv.sum(axis=0), c)
-            sum_gx = _channel_sum(np.einsum("nk,nk->k", gv, xhat), c)
+            gv = _rows(grad)
+            xhat = _rows(x.data) - mean[:, None]
+            xhat *= inv_std[:, None]
+            sum_g = np.einsum("ck->c", gv)
+            sum_gx = np.einsum("ck,ck->c", gv, xhat)
             gx = None
-            if x.requires_grad:
+            if x.requires_grad and not training:
+                gx = _from_rows(gv * scale[:, None], x.shape)
+            elif x.requires_grad:
                 # gx = gamma * inv_std * (g - sum(g)/m - xhat * sum(g * xhat)/m)
-                gx = np.multiply(xhat, np.repeat(sum_gx / m, s), out=xhat)
-                gx += np.repeat(sum_g / m, s)
+                gx = np.multiply(xhat, (sum_gx / m)[:, None], out=xhat)
+                gx += (sum_g / m)[:, None]
                 np.subtract(gv, gx, out=gx)
-                gx *= np.repeat(self.gamma.data * inv_std, s)
-                gx = gx.reshape(x.shape)
+                gx *= scale[:, None]
+                gx = _from_rows(gx, x.shape)
             gg = sum_gx if self.gamma.requires_grad else None
             gb = sum_g if self.beta.requires_grad else None
             return gx, gg, gb
 
-        return T.custom_op(out.reshape(x.shape), (x, self.gamma, self.beta), vjp)
+        return T.custom_op(_from_rows(out, x.shape), (x, self.gamma, self.beta), vjp)
 
 
 # ---- pooling ----------------------------------------------------------------
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
-    """Window max with -inf padding, a running maximum over the kernel taps;
-    the gradient routes to the first maximal tap of each window in
-    row-major order. NaN propagates to the window's output."""
+    """Window max with -inf padding, a running maximum over the kernel taps
+    of a window view of a padded (C, Hp, Wp, N) copy of x; the gradient
+    routes to the first maximal tap of each window in row-major order. NaN
+    propagates to the window's output, which is batch-innermost."""
     kernel = _pair(kernel)
     stride = _pair(stride) if stride is not None else kernel
     padding = _pair(padding)
@@ -402,31 +385,28 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         raise ValueError(f"non-positive maxpool output extent for input {h}x{w}")
 
     ph, pw = padding
-    if ph or pw:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    else:
-        xp = x.data
+    xp = np.full((c, h + 2 * ph, w + 2 * pw, n), -np.inf, dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
     geometry = (kernel, stride, (1, 1), (ho, wo))
-    win = _windows(xp, 2, *geometry)
+    win = _windows(xp, *geometry)
     taps = list(np.ndindex(kernel))  # row-major
     out = win[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(out, win[tap], out=out)
 
     def vjp(grad):
-        if not x.requires_grad:
-            return (None,)
+        g = grad.transpose(1, 2, 3, 0)
         gxp = np.zeros(xp.shape, dtype=x.dtype)
-        gwin = _windows(gxp, 2, *geometry, writeable=True)
+        gwin = _windows(gxp, *geometry, writeable=True)
         unrouted = np.ones(out.shape, dtype=bool)
         for tap in taps:
             hit = win[tap] == out
             hit &= unrouted
             unrouted ^= hit
-            gwin[tap] += grad * hit
-        return (gxp[:, :, ph : ph + h, pw : pw + w],)
+            gwin[tap] += g * hit
+        return (gxp[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2),)
 
-    return T.custom_op(out, (x,), vjp)
+    return T.custom_op(out.transpose(3, 0, 1, 2), (x,), vjp)
 
 
 class MaxPool2d(Module):
@@ -487,8 +467,6 @@ def cross_entropy(logits, targets):
     loss = -log_probs[np.arange(n), targets].mean()
 
     def vjp(grad):
-        if not logits.requires_grad:
-            return (None,)
         probs = np.exp(log_probs)
         probs[np.arange(n), targets] -= 1.0
         scale = float(grad.reshape(-1)[0]) / n

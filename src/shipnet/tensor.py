@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are contiguous numpy float32/float64 buffers. Every differentiable
-operation records its parents and a vector-Jacobian closure. One reverse walk
-from a scalar runs the closures in reverse topological order and frees each
-once it has run, so a graph is walked once: ``Tensor.backward`` fills ``grad``
-on leaves only, and ``grad(output, wrt)`` returns interior gradients. A parent
-is made before its child, so ``grad`` skips tensors made before all its targets.
+Values are numpy float32/float64 arrays, dense buffers in any axis order;
+elementwise ops, reductions and their gradients follow the memory order of
+their full-size operand. Every differentiable operation records its parents
+and a vector-Jacobian closure. One reverse walk from a scalar runs the
+closures in reverse topological order and frees each once it has run, so a
+graph is walked once: ``Tensor.backward`` fills ``grad`` on leaves only, and
+``grad(output, wrt)`` returns interior gradients. A parent is made before its
+child, so ``grad`` skips tensors made before all its targets.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _walk(output, wrt):
             for p, pg in zip(parents, parent_grads):
                 if pg is not None and id(p) in live:
                     key = id(p)
-                    pending[key] = pg if key not in pending else pending[key] + pg
+                    pending[key] = pg if key not in pending else np.add(pending[key], pg, out=_like(p.data, pg))
     return found
 
 
@@ -231,38 +233,62 @@ def _check_same_dtype(a, b):
         raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
 
 
+def _sum(a, axes, keepdims=False):
+    # a.sum(axis=axes, keepdims=keepdims) in a's memory order, by einsum, which
+    # stays fast when the summed axes are not innermost in memory
+    out = np.einsum(a, list(range(a.ndim)), [i for i in range(a.ndim) if i not in axes])
+    return out.reshape([1 if i in axes else s for i, s in enumerate(a.shape)]) if keepdims else out
+
+
 def _unbroadcast(grad, shape):
     # Sum gradient contributions over axes that were broadcast in the forward.
     extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    axes = tuple(range(extra)) + tuple(extra + i for i, s in enumerate(shape)
+                                       if s == 1 and grad.shape[extra + i] != 1)
+    return _sum(grad, axes).reshape(shape) if axes else grad
+
+
+def _like(a, b):
+    # an empty array of a's and b's broadcast shape, laid out like the first with that shape
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return np.empty_like(a if a.shape == shape else b, shape=shape)
+
+
+def _laid_out(small, like):
+    # ``small``, broadcasting against the same-rank ``like``, copied into its
+    # memory order: numpy runs a mismatched broadcast with a short inner loop
+    if small.ndim != like.ndim or small.shape == like.shape:
+        return small
+    out = np.empty_like(like, shape=small.shape)
+    out[...] = small
+    return out
 
 
 def _binary(a, b, fwd, vjp_a, vjp_b, name):
+    # vjp_a(g, a_data, b_data) and vjp_b see the operands laid out like the output
     _check_same_dtype(a, b)
     try:
-        out_data = fwd(a.data, b.data)
+        out = _like(a.data, b.data)
     except ValueError as exc:
         raise ValueError(f"{name}: shapes {a.shape} and {b.shape} not broadcast-compatible") from exc
+    ad, bd = _laid_out(a.data, out), _laid_out(b.data, out)
+    out_data = fwd(ad, bd, out=out)
 
     def vjp(g):
-        ga = _unbroadcast(vjp_a(g), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(vjp_b(g), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(vjp_a(g, ad, bd), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(vjp_b(g, ad, bd), b.shape) if b.requires_grad else None
         return ga, gb
 
     return a._record(out_data, (a, b), vjp)
 
 
 def add(a, b):
-    return _binary(a, b, np.add, lambda g: g, lambda g: g, "add")
+    return _binary(a, b, np.add, lambda g, ad, bd: g, lambda g, ad, bd: g, "add")
 
 
 def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g: g * b.data, lambda g: g * a.data, "mul")
+    return _binary(a, b, np.multiply, lambda g, ad, bd: np.multiply(g, bd, out=_like(ad, g)),
+                   lambda g, ad, bd: np.multiply(g, ad, out=_like(bd, g)), "mul")
 
 
 def matmul(a, b):
@@ -299,32 +325,25 @@ def _bad_axis(a, ndim):
     raise ValueError(f"axis {a} out of range for ndim {ndim}")
 
 
-def _expand_reduced(g, in_shape, axes, keepdims):
-    if not keepdims:
-        for ax in axes:
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, in_shape)
+def _sum_op(a, axes, keepdims, mean):
+    axes = _normalize_axes(axes, a.ndim)
+    count = int(np.prod([a.shape[ax] for ax in axes])) if mean and axes else 1
+    out_data = _sum(a.data, axes, keepdims) / count
+
+    def vjp(g):
+        gx = np.empty_like(a.data)
+        gx[...] = _laid_out(g / count if keepdims else np.expand_dims(g / count, axes), gx)
+        return (gx,)
+
+    return a._record(np.asarray(out_data, dtype=a.dtype), (a,), vjp)
 
 
 def tsum(a, axes=None, keepdims=False):
-    axes = _normalize_axes(axes, a.ndim)
-    out_data = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        return (_expand_reduced(g, a.shape, axes, keepdims).copy(),)
-
-    return a._record(np.asarray(out_data, dtype=a.dtype), (a,), vjp)
+    return _sum_op(a, axes, keepdims, mean=False)
 
 
 def tmean(a, axes=None, keepdims=False):
-    axes = _normalize_axes(axes, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    out_data = a.data.sum(axis=axes, keepdims=keepdims) / count
-
-    def vjp(g):
-        return (_expand_reduced(g / count, a.shape, axes, keepdims).copy(),)
-
-    return a._record(np.asarray(out_data, dtype=a.dtype), (a,), vjp)
+    return _sum_op(a, axes, keepdims, mean=True)
 
 
 def tmax(a, axes=None, keepdims=False):
@@ -335,25 +354,25 @@ def tmax(a, axes=None, keepdims=False):
     if not (_grad_enabled and a.requires_grad):
         out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
         return a._record(out_data, (a,), None)
-    kept = tuple(i for i in range(a.ndim) if i not in axes)
-    perm = kept + axes
+    # the argmax copy moves the reduced axes last: taking the kept axes in
+    # memory order keeps that copy's reads close to sequential
+    perm = sorted(set(range(a.ndim)) - set(axes), key=lambda i: -a.data.strides[i]) + list(axes)
     moved = a.data.transpose(perm)
-    moved_shape = moved.shape
-    kept_shape = moved_shape[: len(kept)]
-    flat = moved.reshape(kept_shape + (-1,))
+    flat = moved.reshape(moved.shape[: a.ndim - len(axes)] + (-1,))
     idx = flat.argmax(axis=-1)
-    out_flat = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
+    reduced_shape = moved.shape[idx.ndim :]
+    # the maximum is the value at the argmax, put back in a's axis order
+    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    out_data = out_data.transpose(np.argsort(perm[: idx.ndim]))
     if keepdims:
-        out_shape = tuple(1 if i in axes else s for i, s in enumerate(a.shape))
-    else:
-        out_shape = kept_shape
-    out_data = out_flat.reshape(out_shape)
+        out_data = np.expand_dims(out_data, axes)
 
     def vjp(g):
-        gflat = np.zeros(moved_shape, dtype=a.dtype).reshape(kept_shape + (-1,))
-        np.put_along_axis(gflat, idx[..., None], g.reshape(kept_shape + (1,)), axis=-1)
-        return (gflat.reshape(moved_shape).transpose(np.argsort(perm)),)
+        index = np.indices(idx.shape, sparse=True) + np.unravel_index(idx, reduced_shape)
+        g = g.reshape([1 if i in axes else s for i, s in enumerate(a.shape)]).transpose(perm)
+        gx = np.zeros_like(a.data)
+        gx.transpose(perm)[index] = g.reshape(idx.shape)
+        return (gx,)
 
     return a._record(out_data, (a,), vjp)
 
@@ -366,7 +385,7 @@ def relu(a):
 
     def vjp(g):
         # subgradient 0 at exactly 0
-        return (g * (a.data > 0),)
+        return (np.multiply(g, a.data > 0, out=_like(a.data, g)),)
 
     return a._record(out_data, (a,), vjp)
 
@@ -378,7 +397,7 @@ def sigmoid(a):
     out_data = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
     def vjp(g):
-        return (g * out_data * (1.0 - out_data),)
+        return (np.multiply(g, out_data, out=_like(out_data, g)) * (1.0 - out_data),)
 
     return a._record(out_data, (a,), vjp)
 
@@ -424,7 +443,7 @@ def concat(tensors, axis):
     offsets = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.ascontiguousarray(part) for part in np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, offsets, axis=axis))
 
     return tensors[0]._record(out_data, tensors, vjp)
 
@@ -433,7 +452,9 @@ def upsample2x(a):
     """Nearest-neighbor 2x upsample of the last two axes."""
     if a.ndim < 2:
         raise ValueError("upsample2x needs at least 2 axes")
-    out_data = np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
+    out_data = np.empty_like(a.data, shape=a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]))
+    for i, j in np.ndindex(2, 2):  # four strided copies keep a's memory order
+        out_data[..., i::2, j::2] = a.data
 
     def vjp(g):
         # four strided slice-adds: a length-2 reduction runs a loop per pair
@@ -446,11 +467,9 @@ def upsample2x(a):
 
 
 def custom_op(out_data, parents, vjp):
-    """Record an externally computed op (fused layers) into the graph."""
-    out_data = np.asarray(out_data)
-    if out_data.ndim and not out_data.flags.c_contiguous:
-        out_data = np.ascontiguousarray(out_data)
-    return parents[0]._record(out_data, parents, vjp)
+    """Record an externally computed op (fused layers) into the graph; its
+    output may be a dense buffer in any axis order."""
+    return parents[0]._record(np.asarray(out_data), parents, vjp)
 
 
 # ---- operator sugar ---------------------------------------------------------

@@ -392,6 +392,12 @@ class TestGradcheckCli:
         assert all("PASS" in line for line in lines)
         assert any(line.startswith("conv2d") for line in lines)
 
+    def test_negative_seed_exits_2_before_the_sweep(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --seed must be >= 0, got -1" in captured.err
+
 
 class TestTrainResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path, corpus, capsys):

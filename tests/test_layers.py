@@ -509,6 +509,79 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         assert held <= out.data.nbytes + out.size * np.dtype(np.intp).itemsize + _SLACK
 
 
+def _batch_inner(a):
+    """The values of the NCHW array ``a``, stored (C, H, W, N) behind the same shape."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def _tensor_as_is(data, requires_grad):
+    t = T.Tensor(data, requires_grad=requires_grad)
+    t.data = data  # the constructor copies a batch-innermost view to NCHW order
+    return t
+
+
+def _bn(training):
+    rng = np.random.default_rng(5)
+    bn = L.BatchNorm2d(6)
+    bn.gamma.data = rng.uniform(0.5, 2.0, 6).astype(np.float32)
+    bn.beta.data = rng.standard_normal(6).astype(np.float32)
+    bn.running_mean.data = rng.standard_normal(6).astype(np.float32)
+    bn.running_var.data = rng.uniform(0.5, 2.0, 6).astype(np.float32)
+    return bn if training else bn.eval()
+
+
+def _conv(*spec, **kwargs):
+    return lambda: L.Conv2d(L.Conv2dSpec(*spec, **kwargs), np.random.default_rng(1))
+
+
+# name: (module factory, input channels, whether x requires grad)
+_LAYOUT_CASES = {
+    "stem-7x7-s2-p3": (_conv(3, 8, 7, stride=2, padding=3, bias=False), 3, False),
+    "3x3-s1": (_conv(6, 5, 3, padding=1), 6, True),
+    "3x3-s2": (_conv(6, 5, 3, stride=2, padding=1, bias=False), 6, True),
+    "3x3-dilated": (_conv(6, 6, 3, padding=2, dilation=2), 6, True),
+    "1x1-s1": (_conv(6, 8, 1), 6, True),
+    "1x1-s2": (_conv(6, 8, 1, stride=2, bias=False), 6, True),
+    "1x1-padded": (_conv(6, 4, 1, padding=1), 6, True),
+    "depthwise-x2": (_conv(6, 12, 3, padding=1, groups=6, bias=False), 6, True),
+    "grouped": (_conv(6, 4, 3, padding=1, groups=2), 6, True),
+    "batchnorm-train": (lambda: _bn(True), 6, True),
+    "batchnorm-eval": (lambda: _bn(False), 6, True),
+    "maxpool-k3-s2-p1": (lambda: L.MaxPool2d(3, 2, 1), 6, True),
+}
+
+
+class TestLayoutInvariance:
+    """Conv, batch norm and max pool give bitwise the same output and vjp
+    gradients whether their input, and the incoming gradient, is
+    NCHW-contiguous or a batch-innermost view of the same values."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", list(_LAYOUT_CASES))
+    def test_either_memory_order_gives_the_same_bits(self, case, n):
+        make, channels, x_grad = _LAYOUT_CASES[case]
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, channels, 9, 9)).astype(np.float32)
+        g = None
+        results = []
+        for x_layout in (np.copy, _batch_inner):
+            out = make()(_tensor_as_is(x_layout(x), x_grad))
+            if g is None:
+                g = rng.standard_normal(out.shape).astype(np.float32)
+            for g_layout in (np.copy, _batch_inner):
+                results.append((out.data,) + tuple(out._vjp(g_layout(g))))
+        if x_grad:
+            assert results[0][1].shape == x.shape
+        else:
+            assert results[0][1] is None
+        for other in results[1:]:
+            for want, got in zip(results[0], other, strict=True):
+                assert (want is None) == (got is None)
+                if want is not None:
+                    assert want.shape == got.shape and want.dtype == got.dtype
+                    assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes()
+
+
 class TestLinear:
     def test_identity_weight(self):
         mod = L.Linear(3, 3, T.make_rng(0))

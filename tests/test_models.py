@@ -5,7 +5,7 @@ from shipnet import models as M
 from shipnet import tensor as T
 from shipnet import train as TR
 from shipnet.attention import set_attention_bypass
-from shipnet.layers import watch
+from shipnet.layers import BatchNorm2d, Conv2d, MaxPool2d, watch
 
 
 def _input(batch, size, seed=0):
@@ -147,6 +147,25 @@ class TestForward:
             assert key in cap
         assert "stage5.0.spatial_gate" in cap
         assert cap["stage5.0.spatial_gate"].shape[1] == 1
+
+
+class TestActivationLayout:
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_conv_batchnorm_and_maxpool_outputs_are_batch_innermost(self, variant):
+        """Every conv, batch-norm and max-pool output of a train-mode forward
+        is an NCHW-shaped view of a contiguous (C, H, W, N) buffer, so the next
+        layer reads it without a layout copy."""
+        model = M.build_model(M.ModelConfig.make(variant, preset="tiny"), seed=0)
+        layouts = []
+
+        def record(mod, args, out):
+            if isinstance(mod, (Conv2d, BatchNorm2d, MaxPool2d)):
+                layouts.append((type(mod), out.data.transpose(1, 2, 3, 0).flags.c_contiguous))
+
+        with watch(record):
+            model(_input(4, 64))
+        assert {kind for kind, _ in layouts} == {Conv2d, BatchNorm2d, MaxPool2d}
+        assert all(ok for _, ok in layouts)
 
 
 class TestBypassEquivalence:
