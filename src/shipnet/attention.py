@@ -10,8 +10,6 @@ receptive field (span 13 vs 7) at nearly the same parameter count.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .layers import Conv2d, Conv2dSpec, Linear, Module, global_pool
 
@@ -19,7 +17,7 @@ from .layers import Conv2d, Conv2dSpec, Linear, Module, global_pool
 class ChannelAttention(Module):
     """Per-channel sigmoid gate from pooled descriptors, [N,C,1,1]."""
 
-    def __init__(self, channels, reduction_ratio, rng, dtype=np.float32):
+    def __init__(self, channels, reduction_ratio, rng):
         super().__init__()
         if channels % reduction_ratio:
             raise ValueError(f"reduction ratio {reduction_ratio} must divide channels {channels}")
@@ -27,8 +25,8 @@ class ChannelAttention(Module):
         self.reduction_ratio = int(reduction_ratio)
         hidden = channels // reduction_ratio
         # MLP shared between the avg and max descriptors, no bias
-        self.squeeze = Linear(channels, hidden, rng, bias=False, dtype=dtype)
-        self.excite = Linear(hidden, channels, rng, bias=False, dtype=dtype)
+        self.squeeze = Linear(channels, hidden, rng, bias=False)
+        self.excite = Linear(hidden, channels, rng, bias=False)
 
     def _mlp(self, desc):
         return self.excite(self.squeeze(desc).relu())
@@ -52,7 +50,7 @@ class SpatialAttention(Module):
     Padding keeps the output spatial size equal to the input.
     """
 
-    def __init__(self, rng, kernel=7, dilation=1, variant="standard", dtype=np.float32):
+    def __init__(self, rng, kernel=7, dilation=1, variant="standard"):
         super().__init__()
         if kernel % 2 == 0:
             raise ValueError(f"spatial attention kernel must be odd, got {kernel}")
@@ -64,13 +62,12 @@ class SpatialAttention(Module):
         pad = self.dilation * (self.kernel - 1) // 2
         if variant == "standard":
             self.conv = Conv2d(
-                Conv2dSpec(2, 1, kernel, padding=pad, dilation=self.dilation, bias=False),
-                rng, dtype)
+                Conv2dSpec(2, 1, kernel, padding=pad, dilation=self.dilation, bias=False), rng)
         else:
             self.depthwise = Conv2d(
                 Conv2dSpec(2, 2, kernel, padding=pad, dilation=self.dilation,
-                           groups=2, bias=False), rng, dtype)
-            self.pointwise = Conv2d(Conv2dSpec(2, 1, 1, bias=False), rng, dtype)
+                           groups=2, bias=False), rng)
+            self.pointwise = Conv2d(Conv2dSpec(2, 1, 1, bias=False), rng)
 
     def forward(self, x):
         avg = x.mean(axes=(1,), keepdims=True)
@@ -89,16 +86,15 @@ class CBAM(Module):
     ``bypass`` forces both gates to 1, making the block an exact identity.
     """
 
-    def __init__(self, channels, rng, reduction_ratio=16, spatial_kernel=7,
-                 improved=False, dtype=np.float32):
+    def __init__(self, channels, rng, reduction_ratio=16, spatial_kernel=7, improved=False):
         super().__init__()
         self.improved = bool(improved)
-        self.channel = ChannelAttention(channels, reduction_ratio, rng, dtype)
+        self.channel = ChannelAttention(channels, reduction_ratio, rng)
         if improved:
             self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dilation=2,
-                                            variant="improved", dtype=dtype)
+                                            variant="improved")
         else:
-            self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dtype=dtype)
+            self.spatial = SpatialAttention(rng, kernel=spatial_kernel)
         self.bypass = False
 
     def forward(self, x):

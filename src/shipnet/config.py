@@ -91,7 +91,7 @@ class RunConfig:
             raise ValueError("norm must be 'dataset' or 'custom'")
         for key, low in (("batch_size", 1), ("lr", 0), ("lr_decay_every", 1),
                          ("lr_decay_factor", 0), ("rotation_deg", 0), ("epochs", 0),
-                         ("base_width", 0), ("seed", 0)):
+                         ("base_width", 0), ("seed", 0), ("exclude_below", 0)):
             value = getattr(self, key)
             if not low <= value < math.inf:
                 raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")

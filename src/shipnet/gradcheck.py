@@ -101,12 +101,12 @@ def check_conv2d(rng):
 
 
 def check_dwsep(rng):
-    mod = DepthwiseSeparableConv2d(4, 6, 3, T.make_rng(0), padding=1, dtype=F64)
+    mod = DepthwiseSeparableConv2d(4, 6, 3, T.make_rng(0), padding=1).astype(F64)
     yield _module_case(mod, _leaf((2, 4, 5, 5), rng), _proj((2, 6, 5, 5), rng))
 
 
 def check_batchnorm(rng):
-    bn = BatchNorm2d(2, dtype=F64)
+    bn = BatchNorm2d(2).astype(F64)
     bn.train()
     x = _leaf((4, 2, 3, 3), rng)
     r = _proj((4, 2, 3, 3), rng)
@@ -131,7 +131,7 @@ def check_global_pool(rng):
 
 
 def check_linear(rng):
-    mod = Linear(5, 3, T.make_rng(1), dtype=F64)
+    mod = Linear(5, 3, T.make_rng(1)).astype(F64)
     yield _module_case(mod, _leaf((4, 5), rng), _proj((4, 3), rng))
 
 
@@ -142,7 +142,7 @@ def check_cross_entropy(rng):
 
 
 def check_channel_attention(rng):
-    mod = ChannelAttention(8, 4, T.make_rng(2), dtype=F64)
+    mod = ChannelAttention(8, 4, T.make_rng(2)).astype(F64)
     yield _module_case(mod, _leaf((2, 8, 4, 4), rng), _proj((2, 8, 1, 1), rng))
 
 
@@ -150,20 +150,19 @@ def check_spatial_attention(rng):
     for variant in ("standard", "improved"):
         mod = SpatialAttention(T.make_rng(3), kernel=3,
                                dilation=2 if variant == "improved" else 1,
-                               variant=variant, dtype=F64)
+                               variant=variant).astype(F64)
         yield _module_case(mod, _leaf((2, 4, 5, 5), rng), _proj((2, 1, 5, 5), rng))
 
 
 def check_cbam_block(rng):
-    mod = CBAM(8, T.make_rng(4), reduction_ratio=4, spatial_kernel=3, dtype=F64)
+    mod = CBAM(8, T.make_rng(4), reduction_ratio=4, spatial_kernel=3).astype(F64)
     yield _module_case(mod, _leaf((2, 8, 4, 4), rng), _proj((2, 8, 4, 4), rng))
 
 
 def check_bottleneck(rng):
     mod = Bottleneck(8, 4, 2, T.make_rng(5),
                      cbam=CBAM(16, T.make_rng(6), reduction_ratio=4,
-                               spatial_kernel=3, dtype=F64),
-                     dtype=F64)
+                               spatial_kernel=3)).astype(F64)
     mod.train()
     yield _module_case(mod, _leaf((2, 8, 6, 6), rng), _proj((2, 16, 3, 3), rng))
 

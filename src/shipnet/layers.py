@@ -47,8 +47,8 @@ def watch(hook):
 
 class Module:
     """Minimal layer container: child discovery via attributes, and one
-    preorder walk, ``modules()``, behind named parameters/buffers and
-    train/eval mode propagation."""
+    preorder walk, ``modules()``, behind named parameters/buffers, ``astype``
+    and train/eval mode propagation."""
 
     def __init__(self):
         self.training = True
@@ -76,14 +76,14 @@ class Module:
         for child_name, child in self.children():
             yield from child.modules(f"{name}.{child_name}" if name else child_name)
 
-    def _named_tensors(self, learnable):
+    def _named_tensors(self):
         for name, mod in self.modules():
             for attr, value in vars(mod).items():
-                if isinstance(value, Tensor) and value.requires_grad == learnable:
+                if isinstance(value, Tensor):
                     yield f"{name}.{attr}" if name else attr, value
 
     def named_parameters(self):
-        return self._named_tensors(True)
+        return ((n, t) for n, t in self._named_tensors() if t.requires_grad)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -93,7 +93,7 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     def named_buffers(self):
-        return self._named_tensors(False)
+        return ((n, t) for n, t in self._named_tensors() if not t.requires_grad)
 
     def train(self):
         for _, mod in self.modules():
@@ -109,13 +109,20 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def astype(self, dtype):
+        """Casts every parameter and buffer in place, each tensor staying the
+        same object, and returns self; modules are built float32."""
+        for _, t in self._named_tensors():
+            t.data = t.data.astype(dtype)
+        return self
 
-def kaiming_normal(shape, fan_in, rng, dtype=np.float32):
+
+def kaiming_normal(shape, fan_in, rng):
     """Fan-in scaled normal init, std = sqrt(2 / fan_in); zeros, with no
     draw, when ``rng`` is None (parameters that are loaded next)."""
     if rng is None:
-        return T.zeros(shape, dtype=dtype, requires_grad=True)
-    return T.normal(shape, np.sqrt(2.0 / fan_in), rng, dtype=dtype, requires_grad=True)
+        return T.zeros(shape, requires_grad=True)
+    return T.normal(shape, np.sqrt(2.0 / fan_in), rng, requires_grad=True)
 
 
 # ---- conv geometry ----------------------------------------------------------
@@ -265,14 +272,13 @@ def conv2d(x, weight, bias, spec):
 
 
 class Conv2d(Module):
-    def __init__(self, spec, rng, dtype=np.float32):
+    def __init__(self, spec, rng):
         super().__init__()
         self.spec = spec
         cg = spec.in_channels // spec.groups
         fan_in = cg * spec.kernel[0] * spec.kernel[1]
-        self.weight = kaiming_normal(spec.weight_shape(), fan_in, rng, dtype)
-        self.bias = (T.zeros((spec.out_channels,), dtype=dtype, requires_grad=True)
-                     if spec.bias else None)
+        self.weight = kaiming_normal(spec.weight_shape(), fan_in, rng)
+        self.bias = T.zeros((spec.out_channels,), requires_grad=True) if spec.bias else None
 
     def forward(self, x):
         return conv2d(x, self.weight, self.bias, self.spec)
@@ -282,14 +288,14 @@ class DepthwiseSeparableConv2d(Module):
     """Per-channel spatial conv followed by a 1x1 pointwise mixing conv."""
 
     def __init__(self, in_channels, out_channels, kernel, rng, stride=1, padding=0,
-                 dilation=1, bias=True, dtype=np.float32):
+                 dilation=1, bias=True):
         super().__init__()
         dw_spec = Conv2dSpec(in_channels, in_channels, kernel, stride=stride,
                              padding=padding, dilation=dilation, groups=in_channels,
                              bias=False)
         pw_spec = Conv2dSpec(in_channels, out_channels, 1, bias=bias)
-        self.depthwise = Conv2d(dw_spec, rng, dtype)
-        self.pointwise = Conv2d(pw_spec, rng, dtype)
+        self.depthwise = Conv2d(dw_spec, rng)
+        self.pointwise = Conv2d(pw_spec, rng)
 
     def forward(self, x):
         return self.pointwise(self.depthwise(x))
@@ -311,15 +317,15 @@ class BatchNorm2d(Module):
     runs its inner loop along a whole row. The output is batch-innermost.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, momentum=0.1, eps=1e-5):
         super().__init__()
         self.channels = int(channels)
         self.momentum = float(momentum)
         self.eps = float(eps)
-        self.gamma = T.Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = T.zeros((channels,), dtype=dtype, requires_grad=True)
-        self.running_mean = T.zeros((channels,), dtype=dtype)
-        self.running_var = T.Tensor(np.ones(channels, dtype=dtype))
+        self.gamma = T.Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = T.zeros((channels,), requires_grad=True)
+        self.running_mean = T.zeros((channels,))
+        self.running_var = T.Tensor(np.ones(channels, dtype=np.float32))
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -431,12 +437,12 @@ def global_pool(x, kind="avg"):
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng, bias=True, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng, bias=True):
         super().__init__()
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.weight = kaiming_normal((in_features, out_features), in_features, rng, dtype)
-        self.bias = T.zeros((out_features,), dtype=dtype, requires_grad=True) if bias else None
+        self.weight = kaiming_normal((in_features, out_features), in_features, rng)
+        self.bias = T.zeros((out_features,), requires_grad=True) if bias else None
 
     def forward(self, x):
         out = T.matmul(x, self.weight)

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import tensor as T
 from .attention import CBAM
 from .layers import (BatchNorm2d, Conv2d, Conv2dSpec, DepthwiseSeparableConv2d,
@@ -248,27 +246,24 @@ class Bottleneck(Module):
     optional attention block gates the main path before the addition.
     """
 
-    def __init__(self, in_channels, width, stride, rng, dilation=1, dwsep=False,
-                 cbam=None, dtype=np.float32):
+    def __init__(self, in_channels, width, stride, rng, dilation=1, dwsep=False, cbam=None):
         super().__init__()
         out_channels = 4 * width
-        self.conv1 = Conv2d(Conv2dSpec(in_channels, width, 1, bias=False), rng, dtype)
-        self.bn1 = BatchNorm2d(width, dtype=dtype)
+        self.conv1 = Conv2d(Conv2dSpec(in_channels, width, 1, bias=False), rng)
+        self.bn1 = BatchNorm2d(width)
         if dwsep:
             self.conv2 = DepthwiseSeparableConv2d(width, width, 3, rng, stride=stride,
-                                                  padding=dilation, dilation=dilation,
-                                                  bias=False, dtype=dtype)
+                                                  padding=dilation, dilation=dilation, bias=False)
         else:
             self.conv2 = Conv2d(Conv2dSpec(width, width, 3, stride=stride,
-                                           padding=dilation, dilation=dilation,
-                                           bias=False), rng, dtype)
-        self.bn2 = BatchNorm2d(width, dtype=dtype)
-        self.conv3 = Conv2d(Conv2dSpec(width, out_channels, 1, bias=False), rng, dtype)
-        self.bn3 = BatchNorm2d(out_channels, dtype=dtype)
+                                           padding=dilation, dilation=dilation, bias=False), rng)
+        self.bn2 = BatchNorm2d(width)
+        self.conv3 = Conv2d(Conv2dSpec(width, out_channels, 1, bias=False), rng)
+        self.bn3 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.proj = Conv2d(Conv2dSpec(in_channels, out_channels, 1, stride=stride,
-                                          bias=False), rng, dtype)
-            self.proj_bn = BatchNorm2d(out_channels, dtype=dtype)
+                                          bias=False), rng)
+            self.proj_bn = BatchNorm2d(out_channels)
         else:
             self.proj = None
             self.proj_bn = None
@@ -290,15 +285,14 @@ class MultiscaleFusion(Module):
     the finest resolution, summed, then refined by a 3x3 depthwise-separable
     conv."""
 
-    def __init__(self, in_channels_by_stage, width, rng, dtype=np.float32):
+    def __init__(self, in_channels_by_stage, width, rng):
         super().__init__()
         self.width = int(width)
         self.laterals = [
-            Conv2d(Conv2dSpec(c, width, 1, bias=False), rng, dtype)
+            Conv2d(Conv2dSpec(c, width, 1, bias=False), rng)
             for c in in_channels_by_stage
         ]
-        self.fuse = DepthwiseSeparableConv2d(width, width, 3, rng, padding=1,
-                                             bias=False, dtype=dtype)
+        self.fuse = DepthwiseSeparableConv2d(width, width, 3, rng, padding=1, bias=False)
 
     @staticmethod
     def _up_to(t, target_hw):
@@ -321,17 +315,15 @@ class ShipClassifier(Module):
     """Backbone + head for one configured variant; stage outputs and
     attention gates are read through ``layers.watch``."""
 
-    def __init__(self, config, seed, dtype=np.float32):
+    def __init__(self, config, seed):
         super().__init__()
         config.validate()
         self.config = config
-        self.dtype = dtype
         rng = T.make_rng(seed) if seed is not None else None
 
         w = config.base_width
-        self.stem_conv = Conv2d(Conv2dSpec(3, w, 7, stride=2, padding=3, bias=False),
-                                rng, dtype)
-        self.stem_bn = BatchNorm2d(w, dtype=dtype)
+        self.stem_conv = Conv2d(Conv2dSpec(3, w, 7, stride=2, padding=3, bias=False), rng)
+        self.stem_bn = BatchNorm2d(w)
         self.stem_pool = MaxPool2d(3, 2, 1)
 
         improved = config.variant == "enhanced"
@@ -345,23 +337,21 @@ class ShipClassifier(Module):
                 cbam = None
                 if stage in config.cbam_stages:
                     cbam = CBAM(4 * width, rng, reduction_ratio=config.reduction_ratio,
-                                spatial_kernel=config.spatial_kernel,
-                                improved=improved, dtype=dtype)
+                                spatial_kernel=config.spatial_kernel, improved=improved)
                 blocks.append(Bottleneck(
                     in_channels, width, stride if b == 0 else 1, rng,
-                    dilation=dilation, dwsep=stage in config.dwsep_stages,
-                    cbam=cbam, dtype=dtype))
+                    dilation=dilation, dwsep=stage in config.dwsep_stages, cbam=cbam))
                 in_channels = 4 * width
             setattr(self, f"stage{stage}", _Sequential(blocks))
 
         if config.multiscale_fusion:
             chans = [config.stage_channels(s) for s in (3, 4, 5)]
-            self.fusion = MultiscaleFusion(chans, config.fusion_width, rng, dtype)
+            self.fusion = MultiscaleFusion(chans, config.fusion_width, rng)
             head_in = config.fusion_width
         else:
             self.fusion = None
             head_in = config.stage_channels(5)
-        self.head = Linear(head_in, config.num_classes, rng, dtype=dtype)
+        self.head = Linear(head_in, config.num_classes, rng)
 
     @property
     def stages(self):
@@ -396,10 +386,10 @@ class _Sequential(Module):
         return x
 
 
-def build_model(config, seed, dtype=np.float32):
-    """Deterministic per seed: identical seeds give identical parameters;
-    seed None draws nothing and leaves zero weights for a checkpoint to fill."""
-    return ShipClassifier(config, seed, dtype)
+def build_model(config, seed):
+    """Float32, deterministic per seed: identical seeds give identical
+    parameters; seed None draws nothing, leaving zeros for a checkpoint."""
+    return ShipClassifier(config, seed)
 
 
 _DUMP_KINDS = {
@@ -427,7 +417,7 @@ def layer_spec_dump(model):
     modes = [(mod, mod.training) for _, mod in model.modules()]
     model.eval()
     with T.no_grad(), watch(record):
-        model(T.zeros((1, 3) + tuple(model.config.input_size), dtype=model.dtype))
+        model(T.zeros((1, 3) + tuple(model.config.input_size), dtype=model.head.weight.dtype))
     for mod, training in modes:
         mod.training = training
     lines = [f"{name} {_DUMP_KINDS[type(mod)]} {shapes.get(mod, '- -')} {mod.param_count()}"

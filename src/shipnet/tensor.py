@@ -158,7 +158,8 @@ def _walk(output, wrt):
         if id(node) in visited:
             continue
         if node._done:
-            raise RuntimeError("backward already ran on this graph; rebuild the loss first")
+            raise RuntimeError("the loss depends on a tensor whose backward already ran; "
+                               "recompute that tensor")
         visited.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents

@@ -315,6 +315,14 @@ def _decode_checkpoint(raw, expected_config):
     if expected_config is not None and expected_config.to_text() != config_text:
         raise ValueError("checkpoint config does not match the requested model")
     meta = parse_settings(meta_text, _META_PARSERS, "checkpoint metadata")
+    epoch = meta["epoch"]
+    for key, ok, rule in (("epoch", epoch >= 0, ">= 0"), ("adam_t", meta["adam_t"] >= 0, ">= 0"),
+                          ("best_epoch", -1 <= meta["best_epoch"] < epoch, f"in [-1, {epoch})"),
+                          ("norm_mean", all(map(math.isfinite, meta["norm_mean"])), "finite"),
+                          ("norm_std", all(0 < v < math.inf for v in meta["norm_std"]),
+                           "finite and > 0")):
+        if not ok:
+            raise ValueError(f"checkpoint metadata key {key} must be {rule}, got {meta[key]!r}")
     adam = AdamState(**{k[5:]: v for k, v in meta.items() if k.startswith("adam_")})
     run = {k: v for k, v in meta.items() if not k.startswith("adam_")}
 

@@ -139,8 +139,7 @@ class TestCBAMBlock:
         assert np.allclose(out.data, 0.25 * x.data, atol=1e-6)
 
     def test_gradient_through_block_vs_finite_differences(self):
-        mod = CBAM(8, T.make_rng(2), reduction_ratio=4, spatial_kernel=3,
-                   dtype=np.float64)
+        mod = CBAM(8, T.make_rng(2), reduction_ratio=4, spatial_kernel=3).astype(np.float64)
         rng = T.make_rng(3)
         x = T.normal((2, 8, 4, 4), 1.0, rng, dtype=np.float64, requires_grad=True)
         r = T.normal((2, 8, 4, 4), 1.0, rng, dtype=np.float64)

@@ -112,6 +112,7 @@ class TestArgHandling:
         (["--seed", "-1"], "seed"),
         (["--set", "lr_decay_factor=-1"], "lr_decay_factor"),
         (["--set", "lr_decay_factor=nan"], "lr_decay_factor"),
+        (["--set", "exclude_below=-5"], "exclude_below"),
     ])
     def test_out_of_range_setting_exits_2_without_writing(self, tmp_path, corpus, capsys,
                                                           flags, key):

@@ -307,7 +307,7 @@ class TestBatchNorm:
         assert np.allclose(out.data[:, 1], -0.5, atol=1e-6)
 
     def test_train_gradients_vs_finite_differences(self):
-        bn = L.BatchNorm2d(2, dtype=np.float64)
+        bn = L.BatchNorm2d(2).astype(np.float64)
         rng = T.make_rng(4)
         x = T.normal((4, 2, 3, 3), 1.0, rng, dtype=np.float64, requires_grad=True)
         r = T.normal((4, 2, 3, 3), 1.0, rng, dtype=np.float64)
@@ -341,7 +341,7 @@ class TestBatchNorm:
 
 def _bn_case(c, n, hw, seed):
     rng = np.random.default_rng(seed)
-    bn = L.BatchNorm2d(c, momentum=0.3, dtype=np.float64)
+    bn = L.BatchNorm2d(c, momentum=0.3).astype(np.float64)
     bn.gamma.data = rng.uniform(0.5, 2.0, c)
     bn.beta.data = rng.standard_normal(c)
     bn.running_mean.data = rng.standard_normal(c)
@@ -598,7 +598,7 @@ class TestLinear:
         assert out.data.ravel()[0] == 4
 
     def test_grads_vs_finite_differences(self):
-        mod = L.Linear(5, 3, T.make_rng(2), dtype=np.float64)
+        mod = L.Linear(5, 3, T.make_rng(2)).astype(np.float64)
         rng = T.make_rng(3)
         x = T.normal((4, 5), 1.0, rng, dtype=np.float64, requires_grad=True)
         r = T.normal((4, 3), 1.0, rng, dtype=np.float64)

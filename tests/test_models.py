@@ -5,7 +5,7 @@ from shipnet import models as M
 from shipnet import tensor as T
 from shipnet import train as TR
 from shipnet.attention import set_attention_bypass
-from shipnet.layers import BatchNorm2d, Conv2d, MaxPool2d, watch
+from shipnet.layers import BatchNorm2d, Conv2d, MaxPool2d, cross_entropy, watch
 
 
 def _input(batch, size, seed=0):
@@ -108,6 +108,27 @@ class TestBuildDeterminism:
         a, b = M.build_model(cfg, 1), M.build_model(cfg, 2)
         assert any(not np.array_equal(pa.data, pb.data)
                    for pa, pb in zip(a.parameters(), b.parameters()))
+
+
+class TestBuildDtype:
+    """Models are built float32; ``astype`` casts a built tree in place."""
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_built_float32_and_cast_to_float64_end_to_end(self, variant):
+        model = M.build_model(M.ModelConfig.make(variant, **MICRO), seed=0)
+        tensors = dict(model.named_parameters()) | dict(model.named_buffers())
+        assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+        assert model.astype(np.float64) is model
+        after = dict(model.named_parameters()) | dict(model.named_buffers())
+        assert all(after[name] is t for name, t in tensors.items())  # same tensors
+        assert {t.dtype for t in after.values()} == {np.dtype(np.float64)}
+        x = T.normal((2, 3, 32, 32), 1.0, T.make_rng(1), dtype=np.float64)
+        logits = model.train()(x)
+        assert logits.dtype == np.float64
+        cross_entropy(logits, [0, 3]).backward()
+        for name, p in model.named_parameters():
+            assert p.grad is not None and p.grad.dtype == np.float64, name
+        assert {b.dtype for _, b in model.named_buffers()} == {np.dtype(np.float64)}
 
 
 class TestForward:

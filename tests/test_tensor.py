@@ -319,6 +319,14 @@ class TestGrad:
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
 
+    def test_new_loss_through_a_walked_tensor_says_to_recompute_it(self):
+        x = T.Tensor([1.0, 2.0], dtype=np.float64, requires_grad=True)
+        early = x * x
+        early.sum().backward()
+        with pytest.raises(RuntimeError, match="depends on a tensor whose backward already "
+                                               "ran; recompute that tensor"):
+            (x * x * early).sum().backward()
+
 
 class TestGradCheck:
     def test_linear_function_exact(self):

@@ -554,8 +554,18 @@ class TestCheckpointValidation:
         (1, lambda t: t + "whatever=3\n", "whatever"),
         (1, lambda t: t.replace("epoch=4", "epoch=abc"), "epoch"),
         (1, lambda t: t.replace("norm_mean=0.4,0.5,0.6", "norm_mean=0.5,0.5"), "norm_mean"),
+        (1, lambda t: t.replace("\nepoch=4", "\nepoch=-3"), "epoch"),
+        (1, lambda t: t.replace("best_epoch=2", "best_epoch=4"), "best_epoch"),
+        (1, lambda t: t.replace("best_epoch=2", "best_epoch=-2"), "best_epoch"),
+        (1, lambda t: t.replace("adam_t=3", "adam_t=-1"), "adam_t"),
+        (1, lambda t: t.replace("norm_mean=0.4,0.5,0.6", "norm_mean=0.4,nan,0.6"), "norm_mean"),
+        (1, lambda t: t.replace("norm_std=0.2,0.2,0.2", "norm_std=0.0,0.2,0.2"), "norm_std"),
+        (1, lambda t: t.replace("norm_std=0.2,0.2,0.2", "norm_std=0.2,inf,0.2"), "norm_std"),
     ], ids=["config-repeated", "config-unknown", "config-bad-int", "config-bad-bool",
-            "meta-repeated", "meta-unknown", "meta-bad-int", "meta-two-floats"])
+            "meta-repeated", "meta-unknown", "meta-bad-int", "meta-two-floats",
+            "meta-negative-epoch", "meta-best-epoch-not-before-epoch",
+            "meta-best-epoch-below-minus-1", "meta-negative-adam-t", "meta-nan-norm-mean",
+            "meta-zero-norm-std", "meta-inf-norm-std"])
     def test_malformed_text_block_names_path_and_key(self, tmp_path, block, edit, key):
         raw = Path(self._saved(tmp_path)).read_bytes()
         blocks, offset = [], 6
