@@ -11,7 +11,7 @@ receptive field (span 13 vs 7) at nearly the same parameter count.
 from __future__ import annotations
 
 from . import tensor as T
-from .layers import Conv2d, Conv2dSpec, Linear, Module, global_pool
+from .layers import Conv2d, Conv2dSpec, Linear, Module
 
 
 class ChannelAttention(Module):
@@ -22,7 +22,6 @@ class ChannelAttention(Module):
         if channels % reduction_ratio:
             raise ValueError(f"reduction ratio {reduction_ratio} must divide channels {channels}")
         self.channels = int(channels)
-        self.reduction_ratio = int(reduction_ratio)
         hidden = channels // reduction_ratio
         # MLP shared between the avg and max descriptors, no bias
         self.squeeze = Linear(channels, hidden, rng, bias=False)
@@ -35,8 +34,8 @@ class ChannelAttention(Module):
         n, c, _, _ = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        avg = global_pool(x, "avg").reshape((n, c))
-        mx = global_pool(x, "max").reshape((n, c))
+        avg = x.mean(axes=(2, 3), keepdims=True).reshape((n, c))
+        mx = x.max(axes=(2, 3), keepdims=True).reshape((n, c))
         gate = (self._mlp(avg) + self._mlp(mx)).sigmoid()
         return gate.reshape((n, c, 1, 1))
 
@@ -88,7 +87,6 @@ class CBAM(Module):
 
     def __init__(self, channels, rng, reduction_ratio=16, spatial_kernel=7, improved=False):
         super().__init__()
-        self.improved = bool(improved)
         self.channel = ChannelAttention(channels, reduction_ratio, rng)
         if improved:
             self.spatial = SpatialAttention(rng, kernel=spatial_kernel, dilation=2,

@@ -11,14 +11,14 @@ import sys
 import time
 
 from .config import RunConfig
-from .data import (dataset_mean_std, exclude_small_classes, normalize,
-                   read_ppm, resize_bilinear, scan_directory, split_dataset)
+from .data import (dataset_mean_std, exclude_small_classes, normalize, read_ppm,
+                   resize_bilinear, scan_directory, split_dataset, validation_split)
 from .gradcheck import run_sweep
 from .heatmap import METHODS, gradcam_map, overlay_emit, spatial_gate_map
 from .metrics import confusion_csv, render_table, report_to_json, round2
 from .models import STAGES, VARIANTS, layer_spec_dump
 from .synthetic import FAMILIES, generate_synthetic
-from .train import checkpoint_load, evaluate, fit
+from .train import check_fills_batch, checkpoint_load, evaluate, fit
 
 
 class CliError(Exception):
@@ -93,6 +93,13 @@ def _load_dataset(cfg, num_classes):
         raise CliError(f"dataset has {len(ds.classes)} classes but the model has "
                        f"num_classes={num_classes}")
     return ds, notes
+
+
+def _check_fit_split(cfg, train_set):
+    """Raise what ``fit`` would on its validation split or on a drop_last
+    that leaves no batch, before the run directory is written."""
+    fit_set, _ = validation_split(train_set, fraction=cfg.val_fraction, seed=cfg.seed)
+    check_fills_batch(len(fit_set), cfg.batch_size, cfg.drop_last)
 
 
 def _start_run(cfg, force, notes):
@@ -186,6 +193,7 @@ def cmd_train(args):
                            f"{resume_state.seed}, this run has seed {cfg.seed}")
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
+    _check_fit_split(cfg, train_set)
     out_dir = _start_run(cfg, args.force, notes)
     _train_one(cfg, cfg.variant, train_set, test_set, out_dir,
                resume_path=args.resume, resume_state=resume_state)
@@ -215,6 +223,7 @@ def cmd_compare(args):
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     # one shared split and seed across all variants
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
+    _check_fit_split(cfg, train_set)
     out_dir = _start_run(cfg, args.force, notes)
     rows = []
     for variant in VARIANTS:

@@ -10,7 +10,7 @@ from .models import (VARIANTS, ModelConfig, format_settings, parse_floats3,
                      parse_setting, settings_parsers)
 from .train import RunSpec
 
-# the model keys that override a variant's defaults only when set
+# the model keys that override a variant's defaults only when set (None: unset)
 STRUCTURAL_KEYS = ("cbam_stages", "multiscale_fusion", "dwsep_stages", "dilated_stage5")
 
 
@@ -20,12 +20,12 @@ class RunConfig:
     variant: str = "baseline"
     preset: str = "full"
     num_classes: int = 4
-    cbam_stages: tuple = ()
+    cbam_stages: tuple = None
     reduction_ratio: int = 16
     spatial_kernel: int = 7
-    multiscale_fusion: bool = False
-    dwsep_stages: tuple = ()
-    dilated_stage5: bool = False
+    multiscale_fusion: bool = None
+    dwsep_stages: tuple = None
+    dilated_stage5: bool = None
     # training surface
     seed: int = 42
     epochs: int = 30
@@ -52,12 +52,9 @@ class RunConfig:
     # model detail overrides (0 keeps the preset value)
     base_width: int = 0
     input_size: int = 0
-    # keys set explicitly (not a field): variant defaults apply to the others
-    _explicit = ()
 
     def set_key(self, key, raw):
         setattr(self, key, parse_setting(key, raw, _PARSERS, "config"))
-        self._explicit = tuple(set(self._explicit) | {key})
 
     @classmethod
     def load(cls, path=None, overrides=()):
@@ -110,7 +107,7 @@ class RunConfig:
         """Canonical resolved config text (sorted keys); a structural key is
         listed only when set, so the text loads back into the same run."""
         return format_settings({k: getattr(self, k) for k in _PARSERS
-                                if k not in STRUCTURAL_KEYS or k in self._explicit})
+                                if getattr(self, k) is not None})
 
     def model_config(self, variant=None):
         overrides = {}
@@ -122,7 +119,7 @@ class RunConfig:
         overrides["reduction_ratio"] = self.reduction_ratio
         overrides["spatial_kernel"] = self.spatial_kernel
         for key in STRUCTURAL_KEYS:
-            if key in self._explicit:
+            if getattr(self, key) is not None:
                 overrides[key] = getattr(self, key)
         return ModelConfig.make(variant or self.variant, preset=self.preset, **overrides)
 

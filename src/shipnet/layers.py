@@ -424,23 +424,12 @@ class MaxPool2d(Module):
         return maxpool2d(x, self.kernel, self.stride, self.padding)
 
 
-def global_pool(x, kind="avg"):
-    """Per-channel spatial reduction to [N, C, 1, 1]."""
-    if kind == "avg":
-        return x.mean(axes=(2, 3), keepdims=True)
-    if kind == "max":
-        return x.max(axes=(2, 3), keepdims=True)
-    raise ValueError(f"unknown global pool kind {kind!r}")
-
-
 # ---- linear head ------------------------------------------------------------
 
 
 class Linear(Module):
     def __init__(self, in_features, out_features, rng, bias=True):
         super().__init__()
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
         self.weight = kaiming_normal((in_features, out_features), in_features, rng)
         self.bias = T.zeros((out_features,), requires_grad=True) if bias else None
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 from . import tensor as T
 from .attention import CBAM
 from .layers import (BatchNorm2d, Conv2d, Conv2dSpec, DepthwiseSeparableConv2d,
-                     Linear, MaxPool2d, Module, conv_output_extent, global_pool, watch)
+                     Linear, MaxPool2d, Module, conv_output_extent, watch)
 
 VARIANTS = ("baseline", "cbam", "enhanced")
 STAGES = (2, 3, 4, 5)
@@ -268,7 +268,6 @@ class Bottleneck(Module):
             self.proj = None
             self.proj_bn = None
         self.cbam = cbam
-        self.out_channels = out_channels
 
     def forward(self, x):
         out = self.bn1(self.conv1(x)).relu()
@@ -287,7 +286,6 @@ class MultiscaleFusion(Module):
 
     def __init__(self, in_channels_by_stage, width, rng):
         super().__init__()
-        self.width = int(width)
         self.laterals = [
             Conv2d(Conv2dSpec(c, width, 1, bias=False), rng)
             for c in in_channels_by_stage
@@ -370,7 +368,7 @@ class ShipClassifier(Module):
             feats[stage] = out
         if self.fusion is not None:
             out = self.fusion(feats[3], feats[4], feats[5])
-        pooled = global_pool(out, "avg")
+        pooled = out.mean(axes=(2, 3), keepdims=True)
         flat = pooled.reshape((pooled.shape[0], pooled.shape[1]))
         return self.head(flat)
 

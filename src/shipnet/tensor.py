@@ -20,14 +20,7 @@ import numpy as np
 FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
-_debug_checks = False
 _created = itertools.count()  # creation numbers: a tensor's parents have smaller ones
-
-
-def set_debug_checks(on):
-    """Enable per-op finite checks (NaN/Inf in any output raises)."""
-    global _debug_checks
-    _debug_checks = bool(on)
 
 
 @contextmanager
@@ -47,11 +40,6 @@ def _as_dtype(dtype):
     if dt.type not in FLOAT_DTYPES:
         raise ValueError(f"unsupported dtype {dt}; only float32/float64")
     return dt
-
-
-def _check_finite(arr, what):
-    if _debug_checks and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values produced by {what}")
 
 
 class Tensor:
@@ -102,7 +90,6 @@ class Tensor:
     # ---- graph plumbing ------------------------------------------------
 
     def _record(self, out_data, parents, vjp):
-        _check_finite(out_data, "op")
         out = Tensor.__new__(Tensor)
         out.data = out_data
         out.grad = None

@@ -144,6 +144,13 @@ def iter_batches(samples, spec, train, epoch, shuffle):
 # ---- epoch loop -------------------------------------------------------------
 
 
+def check_fills_batch(n, batch_size, drop_last):
+    """Raise when drop_last leaves ``n`` training samples no batch."""
+    if drop_last and n < batch_size:
+        raise ValueError(f"drop_last leaves no batch: {n} training samples "
+                         f"fill no batch of batch_size={batch_size}")
+
+
 def train_epoch(model, named_params, samples, adam, spec, epoch):
     """Seeded shuffle; per batch: augment, forward(train), cross-entropy,
     backward, Adam. Returns (mean loss, accuracy) over the epoch; a
@@ -151,6 +158,7 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
     the floating-point warnings of the diverging step stay silent."""
     if not samples:
         raise ValueError("empty training set")
+    check_fills_batch(len(samples), spec.batch_size, spec.drop_last)
     model.train()
     lr = lr_schedule(epoch, spec.base_lr, spec.lr_decay_factor, spec.lr_decay_every)
     total_loss = 0.0
@@ -172,9 +180,6 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
         total_loss += value * n
         correct += int((logits.data.argmax(axis=1) == y).sum())
         seen += n
-    if not seen:
-        raise ValueError(f"drop_last leaves no batch: {len(samples)} training samples "
-                         f"fill no batch of batch_size={spec.batch_size}")
     return total_loss / seen, correct / seen
 
 
@@ -378,15 +383,15 @@ def format_log_line(epoch, lr, train_loss, train_acc, val_loss, val_acc):
             f"\t{val_loss:.6f}\t{val_acc:.4f}")
 
 
-def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
+def fit(config, train_set, spec, out_dir, resume_state=None, log_fn=None):
     """Run the full regimen on a training set: stratified fit/val split,
     seeded epochs, checkpoint per epoch, best-on-validation tracking.
 
     Returns (final TrainState, best TrainState or None, log lines).
-    The best state is reloaded from its checkpoint when that checkpoint is
-    in ``out_dir``; it is None without ``out_dir`` or when a resumed run's
-    best epoch precedes the resume point. A non-finite validation loss
-    raises RuntimeError before the epoch is logged or checkpointed.
+    The log and checkpoints go to ``out_dir``. The best state is reloaded
+    from its checkpoint; it is None when a resumed run's best epoch precedes
+    the resume point. A non-finite validation loss raises RuntimeError
+    before the epoch is logged or checkpointed.
     """
     fit_set, val_set = validation_split(train_set, fraction=spec.val_fraction,
                                         seed=spec.seed)
@@ -403,15 +408,12 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
         raise ValueError(f"resume checkpoint has seed {state.seed}, the run has seed "
                          f"{spec.seed}")
 
-    ckpt_dir = None
-    log_path = None
-    if out_dir is not None:
-        ckpt_dir = os.path.join(out_dir, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "epochs.log")
-        if state.epoch == 0 or not os.path.exists(log_path):
-            with open(log_path, "w") as fh:
-                fh.write(LOG_HEADER + "\n")
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "epochs.log")
+    if state.epoch == 0 or not os.path.exists(log_path):
+        with open(log_path, "w") as fh:
+            fh.write(LOG_HEADER + "\n")
 
     named_params = dict(state.model.named_parameters())
     lines = []
@@ -433,14 +435,12 @@ def fit(config, train_set, spec, out_dir=None, resume_state=None, log_fn=None):
         lines.append(line)
         if log_fn is not None:
             log_fn(line)
-        if log_path is not None:
-            with open(log_path, "a") as fh:
-                fh.write(line + "\n")
-        if ckpt_dir is not None:
-            checkpoint_save(state, os.path.join(ckpt_dir, f"epoch_{epoch:03d}.ckpt"))
+        with open(log_path, "a") as fh:
+            fh.write(line + "\n")
+        checkpoint_save(state, os.path.join(ckpt_dir, f"epoch_{epoch:03d}.ckpt"))
 
     best_state = None
-    if ckpt_dir is not None and state.best_epoch >= 0:
+    if state.best_epoch >= 0:
         with open(os.path.join(ckpt_dir, "best.txt"), "w") as fh:
             fh.write(format_settings({"epoch": state.best_epoch, "val_acc": state.best_val_acc}))
         best_path = os.path.join(ckpt_dir, f"epoch_{state.best_epoch:03d}.ckpt")

@@ -163,6 +163,16 @@ class TestArgHandling:
         for v in VARIANTS:
             assert reloaded.model_config(v) == cfg.model_config(v)
 
+    def test_directly_built_config_keeps_its_structural_keys(self):
+        cfg = RunConfig(variant="cbam", cbam_stages=(5,), preset="tiny")
+        assert cfg.model_config().cbam_stages == (5,)
+        assert "cbam_stages=5\n" in cfg.echo()
+        assert RunConfig.load(None, [("variant", "cbam"), ("cbam_stages", "5"),
+                                     ("preset", "tiny")]).echo() == cfg.echo()
+        unset = RunConfig(variant="cbam", preset="tiny")
+        assert unset.model_config().cbam_stages == (2, 3, 4, 5)
+        assert "cbam_stages" not in unset.echo()
+
 
 CONFIG_TEXT = (b"# comment line\nepochs=1\nbatch_size=8\nlr=1e-3\npreset=tiny\n"
                b"rotation_deg=10\nnorm_mean=0.5,0.5,0.5\nvariant=cbam\ncbam_stages=3,4\n")
@@ -485,6 +495,23 @@ class TestFailureModes:
         assert main([command, "--data", str(data), "--out", str(out), "--epochs", "1"]
                     + MICRO_SETS + flags) == 1
         assert "need >= 2 to split" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("per_class,flags,message", [
+        (2, [], "need >= 2 to split"),
+        (6, ["--batch-size", "64", "--set", "drop_last=1"], "drop_last leaves no batch"),
+    ], ids=["no-validation-split", "drop-last-no-batch"])
+    def test_run_refused_after_the_split_writes_nothing(self, tmp_path, capsys, command,
+                                                        per_class, flags, message):
+        # the test split succeeds; the validation split or the batch size fails
+        data = tmp_path / "data"
+        assert main(["gen-synth", "--per-class", str(per_class), "--size", "32",
+                     "--out", str(data)]) == 0
+        out = tmp_path / "run"
+        assert main([command, "--data", str(data), "--out", str(out), "--epochs", "1"]
+                    + MICRO_SETS + flags) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "heatmap"])

@@ -6,7 +6,7 @@ import pytest
 from shipnet import heatmap as H
 from shipnet import tensor as T
 from shipnet.data import decode_ppm
-from shipnet.layers import global_pool, watch
+from shipnet.layers import watch
 from shipnet.models import ModelConfig, build_model
 
 from oracles import naive_gradcam
@@ -118,7 +118,7 @@ class TestGradcamMap:
         # on a leaf copy of the stage-5 activation
         assert model.fusion is None
         leaf = T.Tensor(act.data, requires_grad=True)
-        pooled = global_pool(leaf, "avg")
+        pooled = leaf.mean(axes=(2, 3), keepdims=True)
         model.head(pooled.reshape(pooled.shape[:2]))[0, 2].backward()
         ref_small = naive_gradcam(act.data[0].astype(np.float64),
                                   leaf.grad[0].astype(np.float64))

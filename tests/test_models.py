@@ -136,13 +136,13 @@ class TestForward:
     def test_logits_shape_and_finite(self, variant):
         cfg = M.ModelConfig.make(variant, **MICRO)
         model = M.build_model(cfg, seed=0).eval()
-        T.set_debug_checks(True)
-        try:
+        outputs = []
+        with watch(lambda mod, args, out: outputs.append(out.data)):
             logits = model.forward(_input(2, 32))
-        finally:
-            T.set_debug_checks(False)
         assert logits.shape == (2, 4)
         assert np.all(np.isfinite(logits.data))
+        # every module's output, the attention gates included, is finite
+        assert outputs and all(np.all(np.isfinite(data)) for data in outputs)
 
     def test_wrong_input_size_rejected(self):
         cfg = M.ModelConfig.make("baseline", **MICRO)
