@@ -55,17 +55,15 @@ class SpatialAttention(Module):
             raise ValueError(f"spatial attention kernel must be odd, got {kernel}")
         if variant not in ("standard", "improved"):
             raise ValueError(f"unknown spatial attention variant {variant!r}")
-        self.kernel = int(kernel)
-        self.dilation = int(dilation)
         self.variant = variant
-        pad = self.dilation * (self.kernel - 1) // 2
+        pad = dilation * (kernel - 1) // 2
         if variant == "standard":
             self.conv = Conv2d(
-                Conv2dSpec(2, 1, kernel, padding=pad, dilation=self.dilation, bias=False), rng)
+                Conv2dSpec(2, 1, kernel, padding=pad, dilation=dilation, bias=False), rng)
         else:
             self.depthwise = Conv2d(
-                Conv2dSpec(2, 2, kernel, padding=pad, dilation=self.dilation,
-                           groups=2, bias=False), rng)
+                Conv2dSpec(2, 2, kernel, padding=pad, dilation=dilation, groups=2, bias=False),
+                rng)
             self.pointwise = Conv2d(Conv2dSpec(2, 1, 1, bias=False), rng)
 
     def forward(self, x):

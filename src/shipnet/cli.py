@@ -80,10 +80,10 @@ def _load_dataset(cfg, num_classes):
     """Scan the data, drop small classes and check the class count, writing
     nothing; returns the dataset and the notes (file name -> text) that
     ``_start_run`` saves beside the run."""
-    ds, report = scan_directory(cfg.data_dir, lenient=cfg.lenient_scan)
+    ds, skipped = scan_directory(cfg.data_dir, lenient=cfg.lenient_scan)
     notes = {}
-    if report.skipped:
-        notes["cleaning_report.txt"] = report.render()
+    if skipped:
+        notes["cleaning_report.txt"] = "".join(f"{path}\t{reason}\n" for path, reason in skipped)
     if cfg.exclude_below > 0:
         ds, dropped = exclude_small_classes(ds, ratio=cfg.split_ratio,
                                             threshold=cfg.exclude_below)
@@ -122,11 +122,10 @@ def _resolve_norm(cfg, samples):
     return tuple(float(v) for v in mean), tuple(float(v) for v in std)
 
 
-def _emit_report(out_dir, report, prefix="report"):
-    _write(os.path.join(out_dir, f"{prefix}.txt"), render_table(report))
-    _write(os.path.join(out_dir, f"{prefix}.json"), report_to_json(report))
-    if report.confusion is not None:
-        _write(os.path.join(out_dir, "confusion.csv"), confusion_csv(report))
+def _emit_report(out_dir, report):
+    _write(os.path.join(out_dir, "report.txt"), render_table(report))
+    _write(os.path.join(out_dir, "report.json"), report_to_json(report))
+    _write(os.path.join(out_dir, "confusion.csv"), confusion_csv(report))
 
 
 def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
@@ -258,12 +257,12 @@ def cmd_heatmap(args):
         raise CliError(f"--stage {args.stage} has no spatial attention gate in this "
                        f"checkpoint (attention stages: {state.config.cbam_stages})")
 
-    if os.path.isdir(args.image):
+    many = os.path.isdir(args.image)
+    if many:
         images = sorted(os.path.join(args.image, f) for f in os.listdir(args.image)
                         if f.endswith(".ppm"))
         if not images:
             raise CliError(f"no .ppm files under {args.image}")
-        os.makedirs(args.out, exist_ok=True)
         outs = [os.path.join(args.out,
                              os.path.splitext(os.path.basename(p))[0]
                              + f".{args.method}.ppm")
@@ -272,11 +271,20 @@ def cmd_heatmap(args):
         images = [args.image]
         outs = [args.out]
 
-    for src, dst in zip(images, outs):
-        img = read_ppm(src)
+    # every image is read before the first write, so a bad one leaves --out as it was
+    inputs = []
+    for src in images:
+        try:
+            img = read_ppm(src)
+        except ValueError as exc:  # an OSError names its file already
+            raise ValueError(f"{src}: {exc}") from exc
         if img.shape[1:] != tuple(state.config.input_size):
             img = resize_bilinear(img, state.config.input_size)
-        img_norm = normalize(img, state.norm_mean, state.norm_std)
+        inputs.append((img, normalize(img, state.norm_mean, state.norm_std)))
+    if many:
+        os.makedirs(args.out, exist_ok=True)
+
+    for (img, img_norm), dst in zip(inputs, outs):
         if args.method == "spatial-gate":
             heat = spatial_gate_map(model, img_norm, stage=args.stage)
         else:

@@ -11,7 +11,7 @@ one bilinear warp per image) is bitwise equal to the per-tap reference in
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,23 +111,12 @@ class Dataset:
         return groups
 
 
-@dataclass
-class CleaningReport:
-    skipped: list = field(default_factory=list)
-
-    def add(self, path, reason):
-        self.skipped.append((path, reason))
-
-    def render(self):
-        return "".join(f"{path}\t{reason}\n" for path, reason in self.skipped)
-
-
 def scan_directory(root, lenient=False):
     """Deterministic scan of ``root/<class_name>/*.ppm``.
 
     Class indices follow sorted directory names; samples follow sorted file
     names. Unreadable files raise, unless ``lenient`` records and skips them.
-    Returns (dataset, cleaning report).
+    Returns (dataset, list of skipped (path, reason) pairs).
     """
     if not os.path.isdir(root):
         raise FileNotFoundError(f"dataset root {root} is not a directory")
@@ -135,7 +124,7 @@ def scan_directory(root, lenient=False):
                         if os.path.isdir(os.path.join(root, d)))
     if not class_dirs:
         raise ValueError(f"no class directories under {root}")
-    report = CleaningReport()
+    skipped = []
     samples = []
     for label, cname in enumerate(class_dirs):
         cdir = os.path.join(root, cname)
@@ -150,10 +139,10 @@ def scan_directory(root, lenient=False):
             except (OSError, ValueError) as exc:
                 if not lenient:
                     raise ValueError(f"{path}: {exc}") from exc
-                report.add(path, str(exc))
+                skipped.append((path, str(exc)))
                 continue
             samples.append(Sample(path=path, label=label))
-    return Dataset(classes=class_dirs, samples=samples), report
+    return Dataset(classes=class_dirs, samples=samples), skipped
 
 
 # ---- geometry ---------------------------------------------------------------

@@ -335,28 +335,20 @@ def tmean(a, axes=None, keepdims=False):
 
 
 def tmax(a, axes=None, keepdims=False):
-    """Max over axes; ties route the gradient to the first maximal element
-    of each reduced group in row-major order. When nothing is recorded this
-    is ``ndarray.max``; otherwise the vjp keeps the argmax and shapes only."""
+    """Max over axes (``ndarray.max``); ties route the gradient to the first
+    maximal element of each reduced group in row-major order, which the vjp
+    finds from ``a.data``."""
     axes = _normalize_axes(axes, a.ndim)
-    if not (_grad_enabled and a.requires_grad):
-        out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
-        return a._record(out_data, (a,), None)
-    # the argmax copy moves the reduced axes last: taking the kept axes in
-    # memory order keeps that copy's reads close to sequential
-    perm = sorted(set(range(a.ndim)) - set(axes), key=lambda i: -a.data.strides[i]) + list(axes)
-    moved = a.data.transpose(perm)
-    flat = moved.reshape(moved.shape[: a.ndim - len(axes)] + (-1,))
-    idx = flat.argmax(axis=-1)
-    reduced_shape = moved.shape[idx.ndim :]
-    # the maximum is the value at the argmax, put back in a's axis order
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    out_data = out_data.transpose(np.argsort(perm[: idx.ndim]))
-    if keepdims:
-        out_data = np.expand_dims(out_data, axes)
+    out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
 
     def vjp(g):
-        index = np.indices(idx.shape, sparse=True) + np.unravel_index(idx, reduced_shape)
+        # the argmax copy moves the reduced axes last: taking the kept axes in
+        # memory order keeps that copy's reads close to sequential
+        perm = sorted(set(range(a.ndim)) - set(axes), key=lambda i: -a.data.strides[i]) + list(axes)
+        moved = a.data.transpose(perm)
+        kept = a.ndim - len(axes)
+        idx = moved.reshape(moved.shape[:kept] + (-1,)).argmax(axis=-1)
+        index = np.indices(idx.shape, sparse=True) + np.unravel_index(idx, moved.shape[kept:])
         g = g.reshape([1 if i in axes else s for i, s in enumerate(a.shape)]).transpose(perm)
         gx = np.zeros_like(a.data)
         gx.transpose(perm)[index] = g.reshape(idx.shape)

@@ -151,7 +151,7 @@ def check_fills_batch(n, batch_size, drop_last):
                          f"fill no batch of batch_size={batch_size}")
 
 
-def train_epoch(model, named_params, samples, adam, spec, epoch):
+def train_epoch(model, samples, adam, spec, epoch):
     """Seeded shuffle; per batch: augment, forward(train), cross-entropy,
     backward, Adam. Returns (mean loss, accuracy) over the epoch; a
     non-finite loss raises RuntimeError before its update is applied, and
@@ -160,6 +160,7 @@ def train_epoch(model, named_params, samples, adam, spec, epoch):
         raise ValueError("empty training set")
     check_fills_batch(len(samples), spec.batch_size, spec.drop_last)
     model.train()
+    named_params = dict(model.named_parameters())
     lr = lr_schedule(epoch, spec.base_lr, spec.lr_decay_factor, spec.lr_decay_every)
     total_loss = 0.0
     correct = 0
@@ -415,12 +416,11 @@ def fit(config, train_set, spec, out_dir, resume_state=None, log_fn=None):
         with open(log_path, "w") as fh:
             fh.write(LOG_HEADER + "\n")
 
-    named_params = dict(state.model.named_parameters())
     lines = []
     for epoch in range(state.epoch, spec.epochs):
         lr = lr_schedule(epoch, spec.base_lr, spec.lr_decay_factor, spec.lr_decay_every)
-        train_loss, train_acc = train_epoch(
-            state.model, named_params, fit_set.samples, state.adam, spec, epoch)
+        train_loss, train_acc = train_epoch(state.model, fit_set.samples, state.adam, spec,
+                                            epoch)
         val_report, val_loss = evaluate(state.model, val_set.samples, spec,
                                         train_set.classes)
         if not math.isfinite(val_loss):

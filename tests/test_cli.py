@@ -376,6 +376,21 @@ class TestHeatmapCli:
         assert err.startswith(f"error: {flags[0]}") and "Traceback" not in err
         assert not out.exists()
 
+    def test_bad_image_in_directory_exits_1_before_writing(self, tmp_path, corpus, trained_run,
+                                                           capsys):
+        ckpt = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
+        src_dir = tmp_path / "images"
+        src_dir.mkdir()
+        (src_dir / "a.ppm").write_bytes(Path(corpus, "cargo", "img_00000.ppm").read_bytes())
+        (src_dir / "b.ppm").write_bytes(b"P6\n2 2\n255\n\x00\x00")
+        out = tmp_path / "maps"
+        assert main(["heatmap", "--checkpoint", ckpt, "--image", str(src_dir),
+                     "--method", "gradcam", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {src_dir / 'b.ppm'}: truncated PPM payload: 2 of 12 bytes\n"
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_way_table(self, tmp_path, corpus, capsys):

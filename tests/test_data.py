@@ -65,10 +65,10 @@ class TestScanDirectory:
 
     def test_two_classes_three_files(self, tmp_path):
         root = self._tree(tmp_path, {"beta": 3, "alpha": 3})
-        ds, report = D.scan_directory(root)
+        ds, skipped = D.scan_directory(root)
         assert ds.classes == ["alpha", "beta"]  # lexicographic
         assert len(ds) == 6
-        assert not report.skipped
+        assert not skipped
 
     def test_rescan_identical(self, tmp_path):
         root = self._tree(tmp_path, {"a": 2, "b": 2})
@@ -80,11 +80,11 @@ class TestScanDirectory:
     def test_corrupt_file_lenient_records_skip(self, tmp_path):
         root = self._tree(tmp_path, {"a": 2})
         (root / "a" / "im_xxx.ppm").write_bytes(b"P6 2 2 255\n\x00\x00")
-        ds, report = D.scan_directory(root, lenient=True)
+        ds, skipped = D.scan_directory(root, lenient=True)
         assert len(ds) == 2
-        assert len(report.skipped) == 1
-        assert "im_xxx" in report.skipped[0][0]
-        assert "truncated" in report.skipped[0][1]
+        assert len(skipped) == 1
+        assert "im_xxx" in skipped[0][0]
+        assert "truncated" in skipped[0][1]
 
     def test_corrupt_file_strict_raises(self, tmp_path):
         root = self._tree(tmp_path, {"a": 2})

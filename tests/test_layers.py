@@ -534,6 +534,17 @@ def _conv(*spec, **kwargs):
     return lambda: L.Conv2d(L.Conv2dSpec(*spec, **kwargs), np.random.default_rng(1))
 
 
+class _Max(L.Module):
+    """CBAM's global max pools: over (2, 3) per channel, over (1,) per location."""
+
+    def __init__(self, axes):
+        super().__init__()
+        self.axes = axes
+
+    def forward(self, x):
+        return x.max(axes=self.axes, keepdims=True)
+
+
 # name: (module factory, input channels, whether x requires grad)
 _LAYOUT_CASES = {
     "stem-7x7-s2-p3": (_conv(3, 8, 7, stride=2, padding=3, bias=False), 3, False),
@@ -548,12 +559,14 @@ _LAYOUT_CASES = {
     "batchnorm-train": (lambda: _bn(True), 6, True),
     "batchnorm-eval": (lambda: _bn(False), 6, True),
     "maxpool-k3-s2-p1": (lambda: L.MaxPool2d(3, 2, 1), 6, True),
+    "max-over-hw": (lambda: _Max((2, 3)), 6, True),
+    "max-over-channels": (lambda: _Max((1,)), 6, True),
 }
 
 
 class TestLayoutInvariance:
-    """Conv, batch norm and max pool give bitwise the same output and vjp
-    gradients whether their input, and the incoming gradient, is
+    """Conv, batch norm, max pool and global max give bitwise the same output
+    and vjp gradients whether their input, and the incoming gradient, is
     NCHW-contiguous or a batch-innermost view of the same values."""
 
     @pytest.mark.parametrize("n", [1, 3])

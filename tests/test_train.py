@@ -142,8 +142,7 @@ class TestTrainEpoch:
         before = parameters(model)
         ds = micro_dataset()
         spec = micro_spec(base_lr=0.0)
-        TR.train_epoch(model, dict(model.named_parameters()), ds.samples,
-                       TR.AdamState(), spec, epoch=0)
+        TR.train_epoch(model, ds.samples, TR.AdamState(), spec, epoch=0)
         assert_same_parameters(parameters(model), before)
 
     def test_single_sample_memorization(self):
@@ -151,12 +150,11 @@ class TestTrainEpoch:
         model = build_model(config, seed=2)
         ds = micro_dataset(per_class=1, classes=2)
         spec = micro_spec(batch_size=2, base_lr=3e-3)
-        params = dict(model.named_parameters())
         adam = TR.AdamState()
         first_loss = None
         last_loss = None
         for epoch in range(12):
-            loss, acc = TR.train_epoch(model, params, ds.samples, adam, spec, epoch)
+            loss, acc = TR.train_epoch(model, ds.samples, adam, spec, epoch)
             first_loss = loss if first_loss is None else first_loss
             last_loss = loss
         assert last_loss < first_loss
@@ -169,8 +167,7 @@ class TestTrainEpoch:
             model = build_model(config, seed=3)
             ds = micro_dataset()
             spec = micro_spec(augment=True)
-            out = TR.train_epoch(model, dict(model.named_parameters()), ds.samples,
-                                 TR.AdamState(), spec, epoch=0)
+            out = TR.train_epoch(model, ds.samples, TR.AdamState(), spec, epoch=0)
             stats.append(out)
         assert stats[0] == stats[1]
 
@@ -178,14 +175,13 @@ class TestTrainEpoch:
         config = micro_config()
         model = build_model(config, seed=1)
         with pytest.raises(ValueError):
-            TR.train_epoch(model, {}, [], TR.AdamState(), micro_spec(), 0)
+            TR.train_epoch(model, [], TR.AdamState(), micro_spec(), 0)
 
     def test_drop_last_without_a_full_batch_rejected(self):
         model = build_model(micro_config(), seed=1)
         spec = micro_spec(batch_size=64, drop_last=True)
         with pytest.raises(ValueError, match="drop_last.*batch_size=64"):
-            TR.train_epoch(model, dict(model.named_parameters()), micro_dataset().samples,
-                           TR.AdamState(), spec, 0)
+            TR.train_epoch(model, micro_dataset().samples, TR.AdamState(), spec, 0)
 
 
 class TestEvaluate:
@@ -195,10 +191,9 @@ class TestEvaluate:
         ds = micro_dataset(per_class=4)
         spec = micro_spec()
         # train briefly so the model separates the (very separable) classes
-        params = dict(model.named_parameters())
         adam = TR.AdamState()
         for epoch in range(6):
-            TR.train_epoch(model, params, ds.samples, adam, spec, epoch)
+            TR.train_epoch(model, ds.samples, adam, spec, epoch)
         report, loss = TR.evaluate(model, ds.samples, spec, ds.classes)
         assert report.confusion.sum() == len(ds.samples)
         if report.accuracy == 1.0:
