@@ -206,6 +206,10 @@ def cmd_eval(args):
     ds, notes = _load_dataset(cfg, state.config.num_classes)
     if args.split != "full":
         train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
+        if state.seed != cfg.seed:
+            # another seed's split mixes the checkpoint's training images into its test split
+            raise CliError(f"--checkpoint {args.checkpoint} was trained with seed "
+                           f"{state.seed}, --split {args.split} splits with seed {cfg.seed}")
         ds = train_set if args.split == "train" else test_set
     out_dir = _start_run(cfg, args.force, notes)
     spec = cfg.run_spec(state.norm_mean, state.norm_std)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import make_rng
+
 
 # ---- PPM codec --------------------------------------------------------------
 
@@ -255,7 +257,7 @@ def split_dataset(ds, ratio=0.8, seed=0):
     floor(ratio*n) to the first part. Pure function of (sample order, seed)."""
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     first_idx = []
     second_idx = []
     for label, members in enumerate(ds.by_class()):

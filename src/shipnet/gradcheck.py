@@ -268,7 +268,7 @@ def run_sweep(seed=1234, emit=None):
     kind when given a sink."""
     results = []
     for kind, fn, tol in SWEEP:
-        err = check_error(fn, np.random.default_rng(seed), tol)
+        err = check_error(fn, T.make_rng(seed), tol)
         ok = err < tol
         results.append((kind, err, tol, ok))
         if emit is not None:

@@ -66,7 +66,7 @@ class Module:
         for name, value in vars(self).items():
             if isinstance(value, Module):
                 yield name, value
-            elif isinstance(value, (list, tuple)):
+            elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield f"{name}.{i}", item
@@ -374,14 +374,12 @@ class BatchNorm2d(Module):
 # ---- pooling ----------------------------------------------------------------
 
 
-def maxpool2d(x, kernel, stride=None, padding=0):
+def maxpool2d(x, kernel, stride, padding=0):
     """Window max with -inf padding, a running maximum over the kernel taps
     of a window view of a padded (C, Hp, Wp, N) copy of x; the gradient
     routes to the first maximal tap of each window in row-major order. NaN
     propagates to the window's output, which is batch-innermost."""
-    kernel = _pair(kernel)
-    stride = _pair(stride) if stride is not None else kernel
-    padding = _pair(padding)
+    kernel, stride, padding = _pair(kernel), _pair(stride), _pair(padding)
     if padding[0] >= kernel[0] or padding[1] >= kernel[1]:
         raise ValueError("maxpool padding must be smaller than the kernel")
     n, c, h, w = x.shape
@@ -416,7 +414,7 @@ def maxpool2d(x, kernel, stride=None, padding=0):
 
 
 class MaxPool2d(Module):
-    def __init__(self, kernel, stride=None, padding=0):
+    def __init__(self, kernel, stride, padding=0):
         super().__init__()
         self.kernel, self.stride, self.padding = kernel, stride, padding
 

@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .data import write_ppm
+from .tensor import make_rng
 
 FAMILIES = ("bulk_carrier", "cargo", "container", "oil_tanker")
 
@@ -130,9 +131,7 @@ def generate_synthetic(out_dir, per_class, size=64, seed=42, classes=None):
         cdir = os.path.join(out_dir, family)
         os.makedirs(cdir, exist_ok=True)
         for i in range(per_class):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(ci, i))))
-            img = render_ship(family, size, rng)
+            img = render_ship(family, size, make_rng(seed, ci, i))
             path = os.path.join(cdir, f"img_{i:05d}.ppm")
             write_ppm(path, img)
             paths.append(path)

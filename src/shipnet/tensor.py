@@ -193,11 +193,13 @@ def zeros(shape, dtype=np.float32, requires_grad=False):
     return Tensor(np.zeros(_check_extents(shape), dtype=_as_dtype(dtype)), requires_grad)
 
 
-def make_rng(seed):
-    """Deterministic generator for an integer seed; passes Generators through."""
+def make_rng(seed, *key):
+    """The generator of stream ``key`` under an integer seed, the only place
+    a seed becomes a generator; a Generator passes through. ``make_rng(s)``
+    draws what ``np.random.default_rng(s)`` draws."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def normal(shape, std, rng, dtype=np.float32, requires_grad=False):
@@ -208,12 +210,6 @@ def normal(shape, std, rng, dtype=np.float32, requires_grad=False):
 
 
 # ---- broadcasting helpers ---------------------------------------------------
-
-
-def _coerce(other, like):
-    if isinstance(other, Tensor):
-        return other
-    return Tensor(np.asarray(other, dtype=like.dtype))
 
 
 def _check_same_dtype(a, b):
@@ -400,8 +396,6 @@ def reshape(a, shape):
 def tslice(a, index):
     """Basic (slice/int) indexing, differentiable."""
     out_data = np.asarray(a.data[index])
-    if out_data.ndim and not out_data.flags.c_contiguous:
-        out_data = np.ascontiguousarray(out_data)
 
     def vjp(g):
         full_g = np.zeros_like(a.data)
@@ -455,15 +449,8 @@ def custom_op(out_data, parents, vjp):
 # ---- operator sugar ---------------------------------------------------------
 
 
-def _lift(op):
-    def method(self, other):
-        return op(self, _coerce(other, self))
-
-    return method
-
-
-Tensor.__add__ = _lift(add)
-Tensor.__mul__ = _lift(mul)
+Tensor.__add__ = add
+Tensor.__mul__ = mul
 Tensor.__matmul__ = matmul
 Tensor.__getitem__ = tslice
 Tensor.sum = tsum

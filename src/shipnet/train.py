@@ -105,18 +105,13 @@ class TrainState:
 # ---- batching ---------------------------------------------------------------
 
 
-def _epoch_rng(seed, epoch, *key):
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(epoch,) + key)))
-
-
 def _prepare_sample(sample, spec, train, epoch, index):
     img = sample.load()
     if spec.resize_to is not None and img.shape[1:] != tuple(spec.resize_to):
         img = resize_bilinear(img, spec.resize_to)
     if train and spec.augment:
         # per-sample stream keyed by (epoch, index): independent of the batching
-        rng = _epoch_rng(spec.seed, epoch, 1, index)
+        rng = T.make_rng(spec.seed, epoch, 1, index)
         img = augment(img, rng, max_rotation_deg=spec.rotation_deg,
                       hflip=spec.hflip, vflip=spec.vflip)
     return normalize(img, spec.norm_mean, spec.norm_std)
@@ -127,7 +122,7 @@ def iter_batches(samples, spec, train, epoch, shuffle):
     short final batch kept unless drop_last."""
     order = np.arange(len(samples))
     if shuffle:
-        order = _epoch_rng(spec.seed, epoch, 0).permutation(len(samples))
+        order = T.make_rng(spec.seed, epoch, 0).permutation(len(samples))
     bs = spec.batch_size
     if bs < 1:
         raise ValueError("batch_size must be >= 1")
@@ -326,7 +321,11 @@ def _decode_checkpoint(raw, expected_config):
                           ("best_epoch", -1 <= meta["best_epoch"] < epoch, f"in [-1, {epoch})"),
                           ("norm_mean", all(map(math.isfinite, meta["norm_mean"])), "finite"),
                           ("norm_std", all(0 < v < math.inf for v in meta["norm_std"]),
-                           "finite and > 0")):
+                           "finite and > 0"),
+                          ("adam_beta1", 0 <= meta["adam_beta1"] < 1, "in [0, 1)"),
+                          ("adam_beta2", 0 <= meta["adam_beta2"] < 1, "in [0, 1)"),
+                          ("adam_eps", 0 < meta["adam_eps"] < math.inf, "finite and > 0"),
+                          ("best_val_acc", -1 <= meta["best_val_acc"] <= 1, "in [-1, 1]")):
         if not ok:
             raise ValueError(f"checkpoint metadata key {key} must be {rule}, got {meta[key]!r}")
     adam = AdamState(**{k[5:]: v for k, v in meta.items() if k.startswith("adam_")})

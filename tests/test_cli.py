@@ -298,6 +298,20 @@ class TestEval:
         payload = json.loads(Path(out, "report.json").read_text())
         assert sum(payload["support"]) == 12  # 25% of 48 at the 80:20 split
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_under_another_seed_than_the_checkpoints_exits_2(self, tmp_path, corpus,
+                                                                    trained_run, capsys, split):
+        # seed 6 would put images the seed-5 checkpoint trained on into its "test" split
+        ckpt = os.path.join(trained_run, "checkpoints", "epoch_001.ckpt")
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", ckpt, "--data", corpus, "--split", split,
+                     "--out", str(out), "--seed", "6"] + MICRO_SETS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --checkpoint {ckpt} was trained with seed 5, "
+                       f"--split {split} splits with seed 6\n")
+        assert not out.exists()
+
     def test_missing_checkpoint_fails(self, tmp_path, corpus):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--data", corpus, "--out", str(tmp_path / "e")])

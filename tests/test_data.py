@@ -288,6 +288,21 @@ class TestSplits:
         with pytest.raises(ValueError):
             D.split_dataset(_dataset([1, 10]), 0.8, seed=0)
 
+    def test_membership_equals_per_class_permutations_of_the_seed_stream(self):
+        ds = _dataset([7, 12, 5])
+        seed = 21
+        rng = np.random.Generator(np.random.PCG64(seed))  # one stream, classes in order
+        first, second = set(), set()
+        for label in range(3):
+            members = [i for i, s in enumerate(ds.samples) if s.label == label]
+            perm = rng.permutation(len(members))
+            cut = int(np.floor(0.8 * len(members)))
+            first.update(ds.samples[members[i]].path for i in perm[:cut])
+            second.update(ds.samples[members[i]].path for i in perm[cut:])
+        train, test = D.split_dataset(ds, 0.8, seed=seed)
+        assert {s.path for s in train.samples} == first
+        assert {s.path for s in test.samples} == second
+
     def test_validation_split(self):
         ds = _dataset([100, 50])
         fit, val = D.validation_split(ds, fraction=0.2, seed=9)

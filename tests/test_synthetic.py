@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shipnet import synthetic as S
-from shipnet.data import scan_directory
+from shipnet.data import decode_ppm, encode_ppm, read_ppm, scan_directory
 
 
 def _corpus_hash(root):
@@ -47,6 +47,17 @@ class TestGenerator:
             with open(tmp_path / family / "img_00000.ppm", "rb") as fh:
                 hashes.add(hashlib.sha256(fh.read()).hexdigest())
         assert len(hashes) == len(S.FAMILIES)
+
+    def test_each_image_is_rendered_from_its_class_and_index_stream(self, tmp_path):
+        seed = 5
+        S.generate_synthetic(tmp_path, per_class=3, size=48, seed=seed)
+        for c, family in enumerate(S.FAMILIES):
+            for i in range(3):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=(c, i))))
+                ref = decode_ppm(encode_ppm(S.render_ship(family, 48, rng)))
+                out = read_ppm(tmp_path / family / f"img_{i:05d}.ppm")
+                assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes(), (family, i)
 
     def test_values_in_unit_range(self):
         rng = np.random.default_rng(0)

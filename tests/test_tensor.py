@@ -28,6 +28,18 @@ class TestCreate:
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, T.normal((1000,), 1.0, 8).data)
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 1234, 2**40])
+    def test_unkeyed_stream_is_default_rng(self, seed):
+        assert np.array_equal(T.make_rng(seed).random(64),
+                              np.random.default_rng(seed).random(64))
+
+    def test_keyed_streams_are_deterministic_and_distinct(self):
+        draws = {key: T.make_rng(9, *key).random(64)
+                 for key in [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (3, 1, 7)]}
+        for key, values in draws.items():
+            assert np.array_equal(values, T.make_rng(9, *key).random(64)), key
+        assert len({v.tobytes() for v in draws.values()}) == len(draws)
+
 
 class TestBroadcastBinary:
     def test_add(self):

@@ -556,11 +556,25 @@ class TestCheckpointValidation:
         (1, lambda t: t.replace("norm_mean=0.4,0.5,0.6", "norm_mean=0.4,nan,0.6"), "norm_mean"),
         (1, lambda t: t.replace("norm_std=0.2,0.2,0.2", "norm_std=0.0,0.2,0.2"), "norm_std"),
         (1, lambda t: t.replace("norm_std=0.2,0.2,0.2", "norm_std=0.2,inf,0.2"), "norm_std"),
+        (1, lambda t: t.replace("adam_beta1=0.9", "adam_beta1=-0.1"), "adam_beta1"),
+        (1, lambda t: t.replace("adam_beta1=0.9", "adam_beta1=1.0"), "adam_beta1"),
+        (1, lambda t: t.replace("adam_beta2=0.999", "adam_beta2=1.0"), "adam_beta2"),
+        (1, lambda t: t.replace("adam_beta2=0.999", "adam_beta2=nan"), "adam_beta2"),
+        (1, lambda t: t.replace("adam_eps=1e-08", "adam_eps=-1.0"), "adam_eps"),
+        (1, lambda t: t.replace("adam_eps=1e-08", "adam_eps=0.0"), "adam_eps"),
+        (1, lambda t: t.replace("adam_eps=1e-08", "adam_eps=inf"), "adam_eps"),
+        (1, lambda t: t.replace("best_val_acc=0.75", "best_val_acc=nan"), "best_val_acc"),
+        (1, lambda t: t.replace("best_val_acc=0.75", "best_val_acc=1.5"), "best_val_acc"),
+        (1, lambda t: t.replace("best_val_acc=0.75", "best_val_acc=-1.5"), "best_val_acc"),
     ], ids=["config-repeated", "config-unknown", "config-bad-int", "config-bad-bool",
             "meta-repeated", "meta-unknown", "meta-bad-int", "meta-two-floats",
             "meta-negative-epoch", "meta-best-epoch-not-before-epoch",
             "meta-best-epoch-below-minus-1", "meta-negative-adam-t", "meta-nan-norm-mean",
-            "meta-zero-norm-std", "meta-inf-norm-std"])
+            "meta-zero-norm-std", "meta-inf-norm-std", "meta-negative-adam-beta1",
+            "meta-adam-beta1-one", "meta-adam-beta2-one", "meta-nan-adam-beta2",
+            "meta-negative-adam-eps", "meta-zero-adam-eps", "meta-inf-adam-eps",
+            "meta-nan-best-val-acc", "meta-best-val-acc-above-1",
+            "meta-best-val-acc-below-minus-1"])
     def test_malformed_text_block_names_path_and_key(self, tmp_path, block, edit, key):
         raw = Path(self._saved(tmp_path)).read_bytes()
         blocks, offset = [], 6
