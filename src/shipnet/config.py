@@ -4,6 +4,7 @@ override layering, and a canonical echo. Unknown keys are hard errors."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .models import (VARIANTS, ModelConfig, format_settings, parse_floats3,
@@ -58,12 +59,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=()):
-        """Layer a key=value file (``#`` comments) under CLI overrides."""
+        """Layer a key=value file under CLI overrides; a ``#`` at the start
+        of a line or after whitespace starts a comment."""
         cfg = cls()
         if path is not None:
             with open(path) as fh:
                 for lineno, line in enumerate(fh, 1):
-                    stripped = line.split("#", 1)[0].strip()
+                    stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
                     if not stripped:
                         continue
                     if "=" not in stripped:
@@ -94,6 +96,10 @@ class RunConfig:
                 raise ValueError(f"{key} must be a finite number >= {low}, got {value!r}")
         if self.rotation_deg > 180:
             raise ValueError(f"rotation_deg must be <= 180, got {self.rotation_deg!r}")
+        for key, value in (("data_dir", self.data_dir), ("out_dir", self.out_dir)):
+            if value != value.strip() or re.search(r"[\n\r]|\s#", value):
+                raise ValueError(f"{key} {value!r} cannot be written to config.txt: it has a "
+                                 "line break, whitespace at an end or whitespace before #")
         if self.workers != 1:
             raise ValueError(f"workers must be 1, got {self.workers!r}")
         if not all(math.isfinite(v) for v in self.norm_mean):

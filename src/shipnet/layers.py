@@ -15,7 +15,9 @@ is folded back by one slice-add per kernel tap through a window view of its
 buffer (col2im). Max pooling is a running maximum over the kernel taps. Batch
 normalization and cross entropy are fused ops with hand-written backward
 rules. The vjps read their parents' ``.data``, so nothing may write into a
-recorded tensor's data before the walk.
+recorded tensor's data before the walk, except a ReLU fused into batch norm
+or the residual add (``residual_relu``), which writes into a buffer no vjp
+reads, so the tape keeps no pre-activation copy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ _hook = None
 @contextmanager
 def watch(hook):
     """Inside the block, ``Module.__call__`` calls ``hook(module, args, output)``
-    after each forward; the previous hook is restored on exit."""
+    after each forward; the previous hook is restored on exit. The hook sees
+    each output as its module returned it (post-ReLU for a ``relu=True`` batch
+    norm); ``residual_relu`` later writes into a bottleneck's ``bn3`` or
+    attention output, so a hook keeping one past its call copies its data."""
     global _hook
     prev, _hook = _hook, hook
     try:
@@ -314,12 +319,14 @@ class BatchNorm2d(Module):
     Both work on (C, H*W*N) rows, a view of a batch-innermost input (a copy
     of any other, which the tape does not keep): per-channel vectors broadcast
     down a column and per-channel sums are row sums, so every full-size pass
-    runs its inner loop along a whole row. The output is batch-innermost.
+    runs its inner loop along a whole row. The output is batch-innermost;
+    ``relu=True`` clamps it in place, and the vjp masks by output > 0.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels, momentum=0.1, eps=1e-5, relu=False):
         super().__init__()
         self.channels = int(channels)
+        self.relu = bool(relu)
         self.momentum = float(momentum)
         self.eps = float(eps)
         self.gamma = T.Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
@@ -347,9 +354,11 @@ class BatchNorm2d(Module):
         scale = self.gamma.data * inv_std
         np.multiply(xv, scale[:, None], out=out)
         out += (self.beta.data - mean * scale)[:, None]
+        if self.relu:
+            np.maximum(out, 0, out=out)
 
         def vjp(grad):
-            gv = _rows(grad)
+            gv = T.relu_grad(_rows(grad), out) if self.relu else _rows(grad)
             xhat = _rows(x.data) - mean[:, None]
             xhat *= inv_std[:, None]
             sum_g = np.einsum("ck->c", gv)
@@ -369,6 +378,15 @@ class BatchNorm2d(Module):
             return gx, gg, gb
 
         return T.custom_op(_from_rows(out, x.shape), (x, self.gamma, self.beta), vjp)
+
+
+def residual_relu(main, shortcut):
+    """relu(main + shortcut) into ``main``'s buffer, which no vjp or later
+    forward may read; both operands get one gradient array, so no vjp writes
+    into its incoming gradient."""
+    out = np.add(main.data, shortcut.data, out=main.data)
+    np.maximum(out, 0, out=out)
+    return T.custom_op(out, (main, shortcut), lambda g: (T.relu_grad(g, out),) * 2)
 
 
 # ---- pooling ----------------------------------------------------------------

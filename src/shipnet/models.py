@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 from . import tensor as T
 from .attention import CBAM
 from .layers import (BatchNorm2d, Conv2d, Conv2dSpec, DepthwiseSeparableConv2d,
-                     Linear, MaxPool2d, Module, conv_output_extent, watch)
+                     Linear, MaxPool2d, Module, conv_output_extent, residual_relu, watch)
 
 VARIANTS = ("baseline", "cbam", "enhanced")
 STAGES = (2, 3, 4, 5)
@@ -250,14 +250,14 @@ class Bottleneck(Module):
         super().__init__()
         out_channels = 4 * width
         self.conv1 = Conv2d(Conv2dSpec(in_channels, width, 1, bias=False), rng)
-        self.bn1 = BatchNorm2d(width)
+        self.bn1 = BatchNorm2d(width, relu=True)
         if dwsep:
             self.conv2 = DepthwiseSeparableConv2d(width, width, 3, rng, stride=stride,
                                                   padding=dilation, dilation=dilation, bias=False)
         else:
             self.conv2 = Conv2d(Conv2dSpec(width, width, 3, stride=stride,
                                            padding=dilation, dilation=dilation, bias=False), rng)
-        self.bn2 = BatchNorm2d(width)
+        self.bn2 = BatchNorm2d(width, relu=True)
         self.conv3 = Conv2d(Conv2dSpec(width, out_channels, 1, bias=False), rng)
         self.bn3 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
@@ -270,13 +270,13 @@ class Bottleneck(Module):
         self.cbam = cbam
 
     def forward(self, x):
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.bn2(self.conv2(out)).relu()
+        out = self.bn1(self.conv1(x))
+        out = self.bn2(self.conv2(out))
         out = self.bn3(self.conv3(out))
         if self.cbam is not None:
             out = self.cbam(out)
         shortcut = self.proj_bn(self.proj(x)) if self.proj is not None else x
-        return (out + shortcut).relu()
+        return residual_relu(out, shortcut)
 
 
 class MultiscaleFusion(Module):
@@ -321,7 +321,7 @@ class ShipClassifier(Module):
 
         w = config.base_width
         self.stem_conv = Conv2d(Conv2dSpec(3, w, 7, stride=2, padding=3, bias=False), rng)
-        self.stem_bn = BatchNorm2d(w)
+        self.stem_bn = BatchNorm2d(w, relu=True)
         self.stem_pool = MaxPool2d(3, 2, 1)
 
         improved = config.variant == "enhanced"
@@ -361,7 +361,7 @@ class ShipClassifier(Module):
         if (x.shape[2], x.shape[3]) != tuple(self.config.input_size):
             raise ValueError(
                 f"input spatial size {x.shape[2:]} != configured {self.config.input_size}")
-        out = self.stem_pool(self.stem_bn(self.stem_conv(x)).relu())
+        out = self.stem_pool(self.stem_bn(self.stem_conv(x)))
         feats = {}
         for stage, blocks in zip(STAGES, self.stages):
             out = blocks(out)

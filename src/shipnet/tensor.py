@@ -356,14 +356,14 @@ def tmax(a, axes=None, keepdims=False):
 # ---- elementwise activations ------------------------------------------------
 
 
+def relu_grad(g, x):
+    """ReLU's vjp, ``g`` where x > 0 else 0, laid out like its input or output x."""
+    return np.multiply(g, x > 0, out=_like(x, g))
+
+
 def relu(a):
     out_data = np.maximum(a.data, 0)
-
-    def vjp(g):
-        # subgradient 0 at exactly 0
-        return (np.multiply(g, a.data > 0, out=_like(a.data, g)),)
-
-    return a._record(out_data, (a,), vjp)
+    return a._record(out_data, (a,), lambda g: (relu_grad(g, out_data),))
 
 
 def sigmoid(a):

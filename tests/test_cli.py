@@ -163,6 +163,33 @@ class TestArgHandling:
         for v in VARIANTS:
             assert reloaded.model_config(v) == cfg.model_config(v)
 
+    def test_hash_inside_a_path_survives_the_echo(self, tmp_path):
+        cfg = RunConfig.load(None, [("data_dir", "/runs/exp#3/data"), ("out_dir", "#1/out#")])
+        path = tmp_path / "config.txt"
+        path.write_text(cfg.echo())
+        reloaded = RunConfig.load(str(path))
+        assert (reloaded.data_dir, reloaded.out_dir) == ("/runs/exp#3/data", "#1/out#")
+        assert reloaded.echo() == cfg.echo()
+
+    def test_hash_at_line_start_or_after_whitespace_starts_a_comment(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("#epochs=9\n  # indented\nepochs=3 # three\nseed=5\t#five\n")
+        cfg = RunConfig.load(str(path))
+        assert (cfg.epochs, cfg.seed) == (3, 5)
+
+    @pytest.mark.parametrize("flag,key", [("--data", "data_dir"), ("--out", "out_dir")])
+    @pytest.mark.parametrize("path", ["runs #3", "runs\t#3", " runs", "runs ", "runs\nseed=1",
+                                      "runs\r3"])
+    def test_path_the_echo_cannot_write_back_exits_2_without_writing(
+            self, tmp_path, monkeypatch, capsys, corpus, flag, key, path):
+        monkeypatch.chdir(tmp_path)
+        paths = {"--data": corpus, "--out": "run", flag: path}
+        code = main(["train", "--data", paths["--data"], "--out", paths["--out"],
+                     "--epochs", "1"] + MICRO_SETS)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert os.listdir(tmp_path) == []
+
     def test_directly_built_config_keeps_its_structural_keys(self):
         cfg = RunConfig(variant="cbam", cbam_stages=(5,), preset="tiny")
         assert cfg.model_config().cbam_stages == (5,)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shipnet import layers as L
+from shipnet import models as M
 from shipnet import tensor as T
 from shipnet.gradcheck import grad_check
 
@@ -508,6 +510,14 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         out, held = _held_bytes(lambda: x.max(axes=axes, keepdims=True))
         assert held <= out.data.nbytes + out.size * np.dtype(np.intp).itemsize + _SLACK
 
+    def test_full_preset_baseline_forward_keeps_no_pre_activation_copy(self):
+        # 311.6 MiB while every batch-norm output, residual sum and ReLU
+        # output stayed on the tape; 196.1 MiB with the fused ReLUs
+        model = M.build_model(M.ModelConfig.make("baseline", preset="full"), seed=0)
+        x = T.Tensor(_rand((2, 3, 224, 224), 0, dtype=np.float32))
+        out, held = _held_bytes(lambda: model(x))
+        assert out.requires_grad and held <= 240 * 2**20
+
 
 def _batch_inner(a):
     """The values of the NCHW array ``a``, stored (C, H, W, N) behind the same shape."""
@@ -520,9 +530,9 @@ def _tensor_as_is(data, requires_grad):
     return t
 
 
-def _bn(training):
+def _bn(training, relu=False):
     rng = np.random.default_rng(5)
-    bn = L.BatchNorm2d(6)
+    bn = L.BatchNorm2d(6, relu=relu)
     bn.gamma.data = rng.uniform(0.5, 2.0, 6).astype(np.float32)
     bn.beta.data = rng.standard_normal(6).astype(np.float32)
     bn.running_mean.data = rng.standard_normal(6).astype(np.float32)
@@ -558,6 +568,8 @@ _LAYOUT_CASES = {
     "grouped": (_conv(6, 4, 3, padding=1, groups=2), 6, True),
     "batchnorm-train": (lambda: _bn(True), 6, True),
     "batchnorm-eval": (lambda: _bn(False), 6, True),
+    "batchnorm-relu-train": (lambda: _bn(True, relu=True), 6, True),
+    "batchnorm-relu-eval": (lambda: _bn(False, relu=True), 6, True),
     "maxpool-k3-s2-p1": (lambda: L.MaxPool2d(3, 2, 1), 6, True),
     "max-over-hw": (lambda: _Max((2, 3)), 6, True),
     "max-over-channels": (lambda: _Max((1,)), 6, True),
@@ -588,11 +600,59 @@ class TestLayoutInvariance:
         else:
             assert results[0][1] is None
         for other in results[1:]:
-            for want, got in zip(results[0], other, strict=True):
-                assert (want is None) == (got is None)
-                if want is not None:
-                    assert want.shape == got.shape and want.dtype == got.dtype
-                    assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes()
+            _assert_same_bits(results[0], other)
+
+
+def _assert_same_bits(wants, gots):
+    for want, got in zip(wants, gots, strict=True):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert want.shape == got.shape and want.dtype == got.dtype
+            assert np.ascontiguousarray(want).tobytes() == np.ascontiguousarray(got).tobytes()
+
+
+_LAYOUTS = (np.copy, _batch_inner)
+
+
+class TestFusedReluMatchesTheComposition:
+    """``BatchNorm2d(relu=True)`` and ``residual_relu`` give bitwise the
+    output and vjp gradients of the unfused op followed by ``.relu()``, in
+    either memory order of the inputs and the incoming gradient, and leave
+    that gradient unwritten."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_relu(self, training, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 6, 9, 9)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        for x_layout in _LAYOUTS:
+            fused_bn, bn = _bn(training, relu=True), _bn(training)
+            fused = fused_bn(_tensor_as_is(x_layout(x), True))
+            pre = bn(_tensor_as_is(x_layout(x), True))
+            composed = pre.relu()
+            for g_layout in _LAYOUTS:
+                g_in = g_layout(g)
+                want = (composed.data,) + pre._vjp(*composed._vjp(g_in))
+                _assert_same_bits(want, (fused.data,) + fused._vjp(g_in))
+                assert np.array_equal(g_in, g)
+            _assert_same_bits((bn.running_mean.data, bn.running_var.data),
+                              (fused_bn.running_mean.data, fused_bn.running_var.data))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_residual_relu(self, n):
+        rng = np.random.default_rng(n + 10)
+        a, b, g = (rng.standard_normal((n, 6, 9, 9)).astype(np.float32) for _ in range(3))
+        for a_layout, b_layout, g_layout in itertools.product(_LAYOUTS, repeat=3):
+            total = _tensor_as_is(a_layout(a), True) + _tensor_as_is(b_layout(b), True)
+            composed = total.relu()
+            fused = L.residual_relu(_tensor_as_is(a_layout(a), True),
+                                    _tensor_as_is(b_layout(b), True))
+            g_in = g_layout(g)
+            want = (composed.data,) + total._vjp(*composed._vjp(g_in))
+            _assert_same_bits(want, (fused.data,) + fused._vjp(g_in))
+            assert np.array_equal(g_in, g)
+            assert np.shares_memory(fused.data, fused._parents[0].data)
 
 
 class TestLinear:

@@ -226,6 +226,29 @@ class TestResidualStructure:
                 out = shortcut.relu()
         assert np.allclose(cap["stage5"].data, out.data, atol=1e-6)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_hook_copy_of_bn3_output_is_what_bn3_gives_alone(self, training):
+        block = M.Bottleneck(16, 4, 1, T.make_rng(0))
+        if not training:
+            block.eval()
+        kept = {}
+
+        def keep(mod, args, out):
+            if mod is block.bn1:
+                kept["bn1"] = out.data.copy()
+            if mod is block.bn3:
+                kept["in"], kept["out"], kept["live"] = args[0].data.copy(), out.data.copy(), out
+
+        x = T.Tensor(np.random.default_rng(1).standard_normal((2, 16, 5, 5)).astype(np.float32),
+                     requires_grad=True)
+        with watch(keep):
+            y = block(x)
+        assert kept["bn1"].min() == 0  # a relu=True batch norm's hook sees post-activation
+        assert np.array_equal(kept["out"], block.bn3(T.Tensor(kept["in"])).data)
+        # the residual tail wrote the block output into the buffer bn3 returned
+        assert np.array_equal(kept["live"].data, y.data)
+        assert not np.array_equal(kept["out"], y.data)
+
     def test_gradient_reaches_every_parameter(self):
         for variant in ("baseline", "cbam", "enhanced"):
             cfg = M.ModelConfig.make(variant, **MICRO)
