@@ -222,6 +222,8 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
+    if args.key_variant is not None:
+        raise CliError(f"--variant does not apply to compare, which trains {', '.join(VARIANTS)}")
     cfg = _load_config(args, VARIANTS)
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     # one shared split and seed across all variants

@@ -14,10 +14,10 @@ group; the weight gradient copies the columns again, and the input gradient
 is folded back by one slice-add per kernel tap through a window view of its
 buffer (col2im). Max pooling is a running maximum over the kernel taps. Batch
 normalization and cross entropy are fused ops with hand-written backward
-rules. The vjps read their parents' ``.data``, so nothing may write into a
-recorded tensor's data before the walk, except a ReLU fused into batch norm
-or the residual add (``residual_relu``), which writes into a buffer no vjp
-reads, so the tape keeps no pre-activation copy.
+rules. The vjps read their parents' ``.data``, which conv and max pool pad
+again, so nothing may write into a recorded tensor's data before the walk,
+except a ReLU fused into batch norm or the residual add (``residual_relu``),
+whose buffers no vjp reads: the tape keeps no pre-activation or padded copy.
 """
 
 from __future__ import annotations
@@ -123,10 +123,12 @@ class Module:
 
 
 def kaiming_normal(shape, fan_in, rng):
-    """Fan-in scaled normal init, std = sqrt(2 / fan_in); zeros, with no
-    draw, when ``rng`` is None (parameters that are loaded next)."""
+    """Fan-in scaled normal init, std = sqrt(2 / fan_in); with ``rng`` None,
+    a read-only zero view with no draw or buffer, for a load to replace."""
     if rng is None:
-        return T.zeros(shape, requires_grad=True)
+        t = T.zeros((), requires_grad=True)
+        t.data = np.broadcast_to(t.data, shape)
+        return t
     return T.normal(shape, np.sqrt(2.0 / fan_in), rng, requires_grad=True)
 
 
@@ -216,8 +218,9 @@ def conv2d(x, weight, bias, spec):
     only if strided or x is not batch-innermost; at stride 1 its forward and
     gradients are plain matmuls. Every other conv copies its columns from a
     (C, kh, kw, Ho, Wo, N) window view of a zero-padded (C, Hp, Wp, N) copy
-    of x, which the tape keeps; that copy and each col2im slice-add run their
-    inner loop over the batch. The output is batch-innermost."""
+    of x, which the forward drops and the vjp builds again from ``x.data``,
+    so the tape keeps only x itself; that copy and each col2im slice-add run
+    their inner loop over the batch. The output is batch-innermost."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -232,15 +235,14 @@ def conv2d(x, weight, bias, spec):
     pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
     geometry = (spec.kernel, spec.stride, spec.dilation, (ho, wo))
 
-    if pointwise:
-        src = x.data.transpose(1, 2, 3, 0)[:, :: spec.stride[0], :: spec.stride[1]]
-    else:
-        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-        xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
-        src = _windows(xp, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
-
     def columns():
         # one copy, or none when src is contiguous (a batch-innermost 1x1 at stride 1)
+        if pointwise:
+            src = x.data.transpose(1, 2, 3, 0)[:, :: spec.stride[0], :: spec.stride[1]]
+        else:
+            xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+            xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
+            src = _windows(xp, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
         return np.ascontiguousarray(src).reshape(g, cg * kh * kw, -1)
 
     kmat = weight.data.reshape(g, og, cg * kh * kw)
@@ -394,9 +396,10 @@ def residual_relu(main, shortcut):
 
 def maxpool2d(x, kernel, stride, padding=0):
     """Window max with -inf padding, a running maximum over the kernel taps
-    of a window view of a padded (C, Hp, Wp, N) copy of x; the gradient
-    routes to the first maximal tap of each window in row-major order. NaN
-    propagates to the window's output, which is batch-innermost."""
+    of a window view of a padded (C, Hp, Wp, N) copy of x, which the forward
+    drops and the vjp builds again from ``x.data``; the gradient routes to
+    the first maximal tap of each window in row-major order. NaN propagates
+    to the window's output, which is batch-innermost."""
     kernel, stride, padding = _pair(kernel), _pair(stride), _pair(padding)
     if padding[0] >= kernel[0] or padding[1] >= kernel[1]:
         raise ValueError("maxpool padding must be smaller than the kernel")
@@ -407,10 +410,14 @@ def maxpool2d(x, kernel, stride, padding=0):
         raise ValueError(f"non-positive maxpool output extent for input {h}x{w}")
 
     ph, pw = padding
-    xp = np.full((c, h + 2 * ph, w + 2 * pw, n), -np.inf, dtype=x.dtype)
-    xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
     geometry = (kernel, stride, (1, 1), (ho, wo))
-    win = _windows(xp, *geometry)
+
+    def windows():
+        xp = np.full((c, h + 2 * ph, w + 2 * pw, n), -np.inf, dtype=x.dtype)
+        xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
+        return _windows(xp, *geometry)
+
+    win = windows()
     taps = list(np.ndindex(kernel))  # row-major
     out = win[taps[0]].copy()
     for tap in taps[1:]:
@@ -418,7 +425,8 @@ def maxpool2d(x, kernel, stride, padding=0):
 
     def vjp(grad):
         g = grad.transpose(1, 2, 3, 0)
-        gxp = np.zeros(xp.shape, dtype=x.dtype)
+        win = windows()
+        gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
         gwin = _windows(gxp, *geometry, writeable=True)
         unrouted = np.ones(out.shape, dtype=bool)
         for tap in taps:

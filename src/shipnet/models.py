@@ -386,7 +386,7 @@ class _Sequential(Module):
 
 def build_model(config, seed):
     """Float32, deterministic per seed: identical seeds give identical
-    parameters; seed None draws nothing, leaving zeros for a checkpoint."""
+    parameters; seed None draws nothing, leaving zero views for a checkpoint."""
     return ShipClassifier(config, seed)
 
 

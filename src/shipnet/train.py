@@ -217,14 +217,14 @@ _META_PARSERS = {
 }
 
 
-def unpack(fmt, raw, offset):
-    """``struct.unpack_from`` returning (values, next offset); raises
-    ValueError instead of reading past the end of ``raw``."""
-    size = struct.calcsize(fmt)
-    if offset + size > len(raw):
-        raise ValueError(f"truncated: {size} bytes needed at offset {offset}, "
-                         f"{len(raw) - offset} left")
-    return struct.unpack_from(fmt, raw, offset), offset + size
+def unpack(fmt, fh, size):
+    """``struct.unpack`` of the next bytes of ``fh``, a file of ``size``
+    bytes; raises ValueError instead of reading past its end."""
+    need, offset = struct.calcsize(fmt), fh.tell()
+    if offset + need > size:
+        raise ValueError(f"truncated: {need} bytes needed at offset {offset}, "
+                         f"{size - offset} left")
+    return struct.unpack(fmt, fh.read(need))
 
 
 def write_record(fh, arr):
@@ -232,21 +232,22 @@ def write_record(fh, arr):
     fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
 
 
-def read_record(raw, offset):
-    """Decode one record at ``offset`` into a fresh native-order array;
-    returns (array, offset past the payload)."""
-    (code, rank), offset = unpack("<BB", raw, offset)
+def read_record(fh, size):
+    """Read one record from ``fh``, a file of ``size`` bytes, straight into a
+    fresh native-order array; returns (array, offset past the payload)."""
+    code, rank = unpack("<BB", fh, size)
     if code not in _CODE_DTYPE:
         raise ValueError(f"unknown dtype code {code}")
     dtype = _CODE_DTYPE[code]
-    extents, offset = unpack(f"<{rank}Q", raw, offset)
-    count = math.prod(extents)
+    extents = unpack(f"<{rank}Q", fh, size)
+    count, offset = math.prod(extents), fh.tell()
     end = offset + count * dtype.itemsize
-    if end > len(raw):
+    if end > size:
         raise ValueError(f"truncated payload: {count} x {dtype.name} needed at offset "
-                         f"{offset}, {len(raw) - offset} bytes left")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(extents)
-    return arr.astype(dtype.newbyteorder("=")), end
+                         f"{offset}, {size - offset} bytes left")
+    arr = np.empty(extents, dtype)
+    fh.readinto(arr)
+    return arr.astype(dtype.newbyteorder("="), copy=False), end
 
 
 def _write_block(fh, text):
@@ -255,10 +256,10 @@ def _write_block(fh, text):
     fh.write(raw)
 
 
-def _read_block(raw, offset):
-    (n,), offset = unpack("<I", raw, offset)
-    (text,), offset = unpack(f"<{n}s", raw, offset)
-    return text.decode(), offset
+def _read_block(fh, size):
+    (n,) = unpack("<I", fh, size)
+    (text,) = unpack(f"<{n}s", fh, size)
+    return text.decode()
 
 
 def checkpoint_save(state, path):
@@ -292,26 +293,26 @@ def checkpoint_save(state, path):
 
 
 def checkpoint_load(path, expected_config=None):
-    """Rebuilds a TrainState. The config (against ``expected_config`` when
-    given), the metadata and the name, shape and dtype of every tensor are
-    checked before any tensor is assigned; a malformed file raises
-    ValueError naming ``path``."""
+    """Rebuilds a TrainState, reading each tensor straight from the file. The
+    config (against ``expected_config`` when given), the metadata and the
+    name, shape and dtype of every tensor are checked before any tensor is
+    assigned; a malformed file raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return _decode_checkpoint(raw, expected_config)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return _decode_checkpoint(fh, os.fstat(fh.fileno()).st_size, expected_config)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
-def _decode_checkpoint(raw, expected_config):
-    if raw[:4] != _CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {raw[:4]!r}")
-    (version,), offset = unpack("<H", raw, 4)
+def _decode_checkpoint(fh, size, expected_config):
+    magic = fh.read(4)
+    if magic != _CKPT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}")
+    (version,) = unpack("<H", fh, size)
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    config_text, offset = _read_block(raw, offset)
-    meta_text, offset = _read_block(raw, offset)
+    config_text = _read_block(fh, size)
+    meta_text = _read_block(fh, size)
     config = ModelConfig.from_text(config_text)
     if expected_config is not None and expected_config.to_text() != config_text:
         raise ValueError("checkpoint config does not match the requested model")
@@ -331,17 +332,17 @@ def _decode_checkpoint(raw, expected_config):
     adam = AdamState(**{k[5:]: v for k, v in meta.items() if k.startswith("adam_")})
     run = {k: v for k, v in meta.items() if not k.startswith("adam_")}
 
-    (count,), offset = unpack("<I", raw, offset)
+    (count,) = unpack("<I", fh, size)
     tensors = {}
     for _ in range(count):
-        (name_len,), offset = unpack("<H", raw, offset)
-        (name,), offset = unpack(f"<{name_len}s", raw, offset)
+        (name_len,) = unpack("<H", fh, size)
+        (name,) = unpack(f"<{name_len}s", fh, size)
         name = name.decode()
         if name in tensors:
             raise ValueError(f"tensor {name} stored twice")
-        tensors[name], offset = read_record(raw, offset)
-    if offset != len(raw):
-        raise ValueError(f"{len(raw) - offset} trailing bytes after the tensor table")
+        tensors[name], _ = read_record(fh, size)
+    if fh.tell() != size:
+        raise ValueError(f"{size - fh.tell()} trailing bytes after the tensor table")
 
     model = build_model(config, seed=None)
     params = dict(model.named_parameters())

@@ -451,6 +451,15 @@ class TestCompare:
         for variant in ("baseline", "cbam", "enhanced"):
             assert os.path.exists(os.path.join(out, variant, "report.json"))
 
+    def test_variant_flag_exits_2_before_writing(self, tmp_path, corpus, capsys):
+        # compare trains every variant, so a --variant would only be recorded
+        out = tmp_path / "cmp"
+        code = main(["compare", "--data", corpus, "--out", str(out), "--variant", "cbam",
+                     "--epochs", "1"] + MICRO_SETS)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: --variant ") and "Traceback" not in err
+
 
 class TestGradcheckCli:
     def test_sweep_passes(self, capsys):

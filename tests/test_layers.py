@@ -518,6 +518,31 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         out, held = _held_bytes(lambda: model(x))
         assert out.requires_grad and held <= 240 * 2**20
 
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: L.Conv2d(L.Conv2dSpec(16, 16, 3, padding=1), np.random.default_rng(1)),
+         (8, 16, 8, 8)),
+        (lambda: L.Conv2d(L.Conv2dSpec(16, 16, 3, padding=1, groups=16, bias=False),
+                          np.random.default_rng(1)), (8, 16, 8, 8)),
+        (lambda: L.Conv2d(L.Conv2dSpec(16, 16, 3, padding=2, dilation=2),
+                          np.random.default_rng(1)), (8, 16, 8, 8)),
+        (lambda: L.Conv2d(L.Conv2dSpec(3, 16, 7, stride=2, padding=3, bias=False),
+                          np.random.default_rng(1)), (8, 3, 32, 32)),
+        (lambda: L.MaxPool2d(3, 2, 1), (8, 16, 16, 16)),
+    ], ids=["3x3", "3x3-depthwise", "3x3-dilated", "stem-7x7-s2-p3", "maxpool-k3-s2-p1"])
+    def test_padded_op_holds_only_output(self, make, shape):
+        # the vjp pads x again, so no (C, Hp, Wp, N) copy waits for the walk
+        op, x = make(), self._leaf(shape)
+        out, held = _held_bytes(lambda: op(x))
+        assert out.requires_grad and held <= out.data.nbytes + _SLACK
+
+    def test_full_preset_baseline_forward_keeps_no_padded_copy(self):
+        # 196.1 MiB while each padded conv and the max pool kept a padded
+        # copy of its input; 171.8 MiB once their vjps pad again
+        model = M.build_model(M.ModelConfig.make("baseline", preset="full"), seed=0)
+        x = T.Tensor(_rand((2, 3, 224, 224), 0, dtype=np.float32))
+        out, held = _held_bytes(lambda: model(x))
+        assert out.requires_grad and held <= 180 * 2**20
+
 
 def _batch_inner(a):
     """The values of the NCHW array ``a``, stored (C, H, W, N) behind the same shape."""

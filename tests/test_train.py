@@ -2,6 +2,7 @@ import io
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestCheckpoint:
         TR.write_record(buf, arr)
         raw = buf.getvalue()
         assert raw == struct.pack("<BB2Q", 1, 2, 2, 3) + arr.astype("<f8").tobytes()
-        back, end = TR.read_record(raw, 0)
+        back, end = TR.read_record(io.BytesIO(raw), len(raw))
         assert end == len(raw)
         assert back.dtype == np.float64 and np.array_equal(back, arr)
         assert back.flags.writeable and back.flags.c_contiguous and back.dtype.isnative
@@ -351,6 +352,31 @@ class TestCheckpoint:
         arrays += list(loaded.adam.m.values()) + list(loaded.adam.v.values())
         for arr in arrays:
             assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype.isnative
+
+    def test_load_holds_one_copy_of_each_tensor(self, tmp_path):
+        # neither the file's bytes nor the fresh model's weights sit beside
+        # the arrays a load returns (about 2.4x while the whole file was read)
+        config = ModelConfig.make("cbam", preset="tiny")
+        model = build_model(config, seed=6)
+        adam = TR.AdamState(t=3)
+        for name, p in model.named_parameters():
+            adam.ensure(name, p)
+        path = str(tmp_path / "a.ckpt")
+        TR.checkpoint_save(TR.TrainState(model=model, config=config, adam=adam, epoch=1,
+                                         seed=42, best_val_acc=0.5, best_epoch=0,
+                                         norm_mean=(0.4, 0.5, 0.6),
+                                         norm_std=(0.2, 0.2, 0.2)), path)
+        TR.checkpoint_load(path)
+        tracemalloc.start()
+        try:
+            loaded = TR.checkpoint_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [t.data for _, t in loaded.model.named_parameters()]
+        arrays += [t.data for _, t in loaded.model.named_buffers()]
+        arrays += list(loaded.adam.m.values()) + list(loaded.adam.v.values())
+        assert peak <= 1.1 * sum(a.nbytes for a in arrays)
 
     def test_micro_checkpoint_small(self, tmp_path):
         state = self._state()
