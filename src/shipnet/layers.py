@@ -7,17 +7,18 @@ gradient through ``.transpose(1, 2, 3, 0)``, a free view of such a buffer, so
 no layout copy runs between them. They accept either memory order.
 
 Convolution supports stride, zero padding, dilation and groups (cross
-correlation, the usual deep-learning convention). The forward builds a
-batch-innermost, group-major im2col buffer by one copy out of a strided
-window view of its input, and contracts it with the kernel, one matmul per
-group; the weight gradient copies the columns again, and the input gradient
-is folded back by one slice-add per kernel tap through a window view of its
-buffer (col2im). Max pooling is a running maximum over the kernel taps. Batch
-normalization and cross entropy are fused ops with hand-written backward
-rules. The vjps read their parents' ``.data``, which conv and max pool pad
-again, so nothing may write into a recorded tensor's data before the walk,
-except a ReLU fused into batch norm or the residual add (``residual_relu``),
-whose buffers no vjp reads: the tape keeps no pre-activation or padded copy.
+correlation, the usual deep-learning convention). The forward copies a
+batch-innermost, group-major im2col buffer out of a strided window view of
+its input and contracts it with the kernel, one matmul per group, one block
+of output rows at a time; the weight gradient copies all the columns again,
+and the input gradient is folded back block by block, by one slice-add per
+kernel tap through a window view of its buffer (col2im). Max pooling is a
+running maximum over the kernel taps. Batch normalization and cross entropy
+are fused ops with hand-written backward rules. The vjps read their parents'
+``.data``, which conv and max pool pad again, so nothing may write into a
+recorded tensor's data before the walk, except a ReLU fused into batch norm
+or the residual add (``residual_relu``), whose buffers no vjp reads: the
+tape keeps no pre-activation or padded copy.
 """
 
 from __future__ import annotations
@@ -188,14 +189,14 @@ class Conv2dSpec:
 
 
 def _windows(a, kernel, stride, dilation, out_hw, writeable=False):
-    # View of a padded (C, Hp, Wp, N) array with two leading tap axes:
-    # [i, j, c, y, x, n] is the element that kernel tap (i, j) reads for
-    # output position (y, x).
+    # View of a contiguous padded (C, Hp, Wp, N) array with two leading tap
+    # axes: [i, j, c, y, x, n] is the element that kernel tap (i, j) reads
+    # for output position (y, x).
     st = a.strides
     shape = kernel + a.shape[:1] + out_hw + a.shape[3:]
     strides = ((st[1] * dilation[0], st[2] * dilation[1]) + st[:1]
                + (st[1] * stride[0], st[2] * stride[1]) + st[3:])
-    return np.lib.stride_tricks.as_strided(a, shape, strides, writeable=writeable)
+    return np.ndarray(shape, a.dtype, a if writeable else memoryview(a).toreadonly(), 0, strides)
 
 
 def _rows(a):
@@ -209,18 +210,21 @@ def _from_rows(rows, shape):
     return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
 
+# im2col bytes one block of output rows may hold (or one row): about an L2 cache
+_BLOCK_BYTES = 2 * 2**20
+
+
 def conv2d(x, weight, bias, spec):
     """Grouped/strided/dilated 2-D cross correlation, differentiable in all
-    of x, weight and bias. One group-major im2col buffer (G, cg*kh*kw,
-    Ho*Wo*N) is built for the forward and again for the weight gradient, each
-    one matmul per group, so the tape keeps only the source of its columns.
-    An unpadded 1x1 conv's columns are a (C, Ho, Wo, N) view of x, copied
-    only if strided or x is not batch-innermost; at stride 1 its forward and
-    gradients are plain matmuls. Every other conv copies its columns from a
-    (C, kh, kw, Ho, Wo, N) window view of a zero-padded (C, Hp, Wp, N) copy
-    of x, which the forward drops and the vjp builds again from ``x.data``,
-    so the tape keeps only x itself; that copy and each col2im slice-add run
-    their inner loop over the batch. The output is batch-innermost."""
+    of x, weight and bias; the tape keeps only x. An unpadded 1x1 conv's
+    columns are a (C, Ho, Wo, N) view of x, copied only if strided or x is
+    not batch-innermost. Every other conv copies them from a (C, kh, kw, Ho,
+    Wo, N) window view of a zero-padded (C, Hp, Wp, N) copy of x, which the
+    forward drops and the vjp builds again, in even blocks of output rows of
+    at most ``_BLOCK_BYTES`` of columns for the forward and input gradient;
+    the latter slice-adds its blocks per tap from the last to the first, so
+    each padded element sums its taps in row-major order, as with one block.
+    The weight gradient copies all the columns at once."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -234,19 +238,25 @@ def conv2d(x, weight, bias, spec):
     ph, pw = spec.padding
     pointwise = spec.kernel == (1, 1) and spec.padding == (0, 0)
     geometry = (spec.kernel, spec.stride, spec.dilation, (ho, wo))
+    # even blocks (one for a 1x1, whose columns are no larger than x): BLAS
+    # may round a sliver's small matmul unlike the same columns in one call
+    blocks = 1 if pointwise else -(-ho // max(1, _BLOCK_BYTES // (c * kh * kw * wo * n * x.data.itemsize)))
+    rows = -(-ho // blocks)
 
-    def columns():
-        # one copy, or none when src is contiguous (a batch-innermost 1x1 at stride 1)
+    def windows():
+        # (C, kh, kw, Ho, Wo, N): contiguous for a batch-innermost 1x1 at stride 1
         if pointwise:
-            src = x.data.transpose(1, 2, 3, 0)[:, :: spec.stride[0], :: spec.stride[1]]
-        else:
-            xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-            xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
-            src = _windows(xp, *geometry).transpose(2, 0, 1, 3, 4, 5)  # (C, kh, kw, Ho, Wo, N)
-        return np.ascontiguousarray(src).reshape(g, cg * kh * kw, -1)
+            return x.data.transpose(1, 2, 3, 0)[:, None, None, :: spec.stride[0], :: spec.stride[1]]
+        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+        xp[:, ph : ph + h, pw : pw + w] = x.data.transpose(1, 2, 3, 0)
+        return _windows(xp, *geometry).transpose(2, 0, 1, 3, 4, 5)
 
     kmat = weight.data.reshape(g, og, cg * kh * kw)
-    out = np.matmul(kmat, columns()).reshape(spec.out_channels, ho, wo, n)
+    win = windows()
+    out = np.empty((spec.out_channels, ho, wo, n), dtype=np.result_type(kmat, x.data))
+    for y in range(0, ho, rows):  # each block's columns are freed before the next is copied
+        np.matmul(kmat, np.ascontiguousarray(win[:, :, :, y : y + rows]).reshape(g, cg * kh * kw, -1),
+                  out=out[:, y : y + rows].reshape(g, og, -1))
     if bias is not None:
         out += bias.data.reshape(-1, 1, 1, 1)
 
@@ -254,19 +264,23 @@ def conv2d(x, weight, bias, spec):
         gx = gw = None
         gg = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(g, og, -1)
         if weight.requires_grad:
-            gw = np.matmul(gg, columns().transpose(0, 2, 1)).reshape(weight.shape)
+            gw = np.matmul(gg, np.ascontiguousarray(windows()).reshape(g, cg * kh * kw, -1)
+                           .transpose(0, 2, 1)).reshape(weight.shape)
         if x.requires_grad:
             kt = kmat.transpose(0, 2, 1)
             # one output channel per group (depthwise): dcols is an outer product
-            dcols = kt * gg if og == 1 else np.matmul(kt, gg)
+            dcols = np.multiply if og == 1 else np.matmul
             if pointwise and spec.stride == (1, 1):
-                gxb = dcols.reshape(c, h, w, n)
+                gxb = dcols(kt, gg).reshape(c, h, w, n)
             else:
-                dcols = dcols.reshape(c, kh, kw, ho, wo, n)
                 gxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
                 gwin = _windows(gxp, *geometry, writeable=True)
-                for i, j in np.ndindex(kh, kw):  # row-major taps
-                    gwin[i, j] += dcols[:, i, j]
+                for y in reversed(range(0, ho, rows)):
+                    d = dcols(kt, gg[:, :, y * wo * n : (y + rows) * wo * n]).reshape(c, kh, kw, -1, wo, n)
+                    gblock = gwin[:, :, :, y : y + rows]
+                    for i, j in np.ndindex(kh, kw):  # row-major taps
+                        gblock[i, j] += d[:, i, j]
+                    del d  # so no two blocks' columns are alive at once
                 gxb = gxp[:, ph : ph + h, pw : pw + w]
             gx = gxb.transpose(3, 0, 1, 2)
         if bias is None:

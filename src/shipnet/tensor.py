@@ -13,6 +13,7 @@ child, so ``grad`` skips tensors made before all its targets.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -311,7 +312,7 @@ def _bad_axis(a, ndim):
 
 def _sum_op(a, axes, keepdims, mean):
     axes = _normalize_axes(axes, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if mean and axes else 1
+    count = math.prod(a.shape[ax] for ax in axes) if mean and axes else 1
     out_data = _sum(a.data, axes, keepdims) / count
 
     def vjp(g):
@@ -383,7 +384,7 @@ def sigmoid(a):
 
 def reshape(a, shape):
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ValueError(f"cannot reshape {a.shape} to {shape}")
     out_data = a.data.reshape(shape)
 

@@ -457,15 +457,17 @@ class TestGlobalPool:
                            x.data.mean(axis=(2, 3), keepdims=True), rtol=1e-6, atol=0)
 
 
-def _held_bytes(op):
-    """(result, bytes still allocated once ``op()`` has returned); a first
-    unmeasured call warms numpy's and the interpreter's caches."""
+def _held_bytes(op, peak=False):
+    """(result, bytes still allocated once ``op()`` has returned, or with
+    ``peak`` the most allocated while it ran, above what was allocated
+    before); a first unmeasured call warms numpy's and the interpreter's
+    caches."""
     op()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = op()
-        return out, tracemalloc.get_traced_memory()[0] - before
+        return out, tracemalloc.get_traced_memory()[1 if peak else 0] - before
     finally:
         tracemalloc.stop()
 
@@ -678,6 +680,84 @@ class TestFusedReluMatchesTheComposition:
             _assert_same_bits(want, (fused.data,) + fused._vjp(g_in))
             assert np.array_equal(g_in, g)
             assert np.shares_memory(fused.data, fused._parents[0].data)
+
+
+def _conv_run(make, x, x_grad, rng):
+    """(output, x gradient, weight gradient[, bias gradient]) of one conv call
+    on the batch-innermost ``x``, for a batch-innermost incoming gradient."""
+    out = make()(_tensor_as_is(_batch_inner(x), x_grad))
+    g = _batch_inner(rng.standard_normal(out.shape).astype(np.float32))
+    return (out.data,) + tuple(out._vjp(g))
+
+
+_CONV_CASES = [name for name in _LAYOUT_CASES if not name.startswith(("batchnorm", "max"))]
+
+# tiny-preset shapes at batch 32 that the default block size splits into
+# 2-11 blocks of output rows: stem, stage-1 3x3, a stride-2 3x3, both
+# spatial gates (one output channel per group) and a depthwise 3x3
+_MODEL_SHAPE_CASES = {
+    "stem": (_conv(3, 16, 7, stride=2, padding=3, bias=False), (32, 3, 64, 64)),
+    "3x3-s1": (_conv(16, 16, 3, padding=1, bias=False), (32, 16, 16, 16)),
+    "3x3-s2": (_conv(32, 32, 3, stride=2, padding=1, bias=False), (32, 32, 16, 16)),
+    "spatial-gate": (_conv(2, 1, 7, padding=3), (32, 2, 16, 16)),
+    "dilated-gate": (_conv(2, 2, 7, padding=6, dilation=2, groups=2), (32, 2, 16, 16)),
+    "depthwise": (_conv(64, 64, 3, padding=1, groups=64, bias=False), (32, 64, 8, 8)),
+}
+
+
+class TestConvRowBlocks:
+    """A k x k conv builds its forward columns, and its input gradient's
+    columns, one block of output rows at a time, at most ``_BLOCK_BYTES``
+    each, and the block size changes no gradient bit."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("case", _CONV_CASES)
+    def test_one_row_per_block_keeps_every_gradient_bit(self, case, n, monkeypatch):
+        make, channels, x_grad = _LAYOUT_CASES[case]
+        x = np.random.default_rng(n).standard_normal((n, channels, 9, 9)).astype(np.float32)
+        want = _conv_run(make, x, x_grad, np.random.default_rng(7))
+        monkeypatch.setattr(L, "_BLOCK_BYTES", 1)
+        got = _conv_run(make, x, x_grad, np.random.default_rng(7))
+        _assert_same_bits(want[1:], got[1:])
+        # OpenBLAS rounds a product of M*N*K <= 1e6 by kernels that depend
+        # on the call's width, so at these sizes a one-row block can move
+        # the forward's last bit (7.2e-7 at most here); model shapes below
+        # keep every bit
+        assert np.allclose(got[0], want[0], rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("case", list(_MODEL_SHAPE_CASES))
+    def test_model_shapes_keep_every_bit(self, case, monkeypatch):
+        make, shape = _MODEL_SHAPE_CASES[case]
+        x = _rand(shape, 3, dtype=np.float32)
+        got = _conv_run(make, x, True, np.random.default_rng(7))
+        monkeypatch.setattr(L, "_BLOCK_BYTES", 2**40)  # one block
+        want = _conv_run(make, x, True, np.random.default_rng(7))
+        _assert_same_bits(want, got)
+
+    def test_stem_forward_holds_one_block_of_columns(self):
+        # the whole (147, 32*32*32) column matrix is 19.3 MB
+        conv = _conv(3, 16, 7, stride=2, padding=3, bias=False)()
+        x = T.Tensor(_rand((32, 3, 64, 64), 0, dtype=np.float32))
+        out, peak = _held_bytes(lambda: conv(x), peak=True)
+        padded = 3 * 70 * 70 * 32 * 4
+        assert peak <= out.data.nbytes + padded + L._BLOCK_BYTES + _SLACK
+
+    @pytest.mark.parametrize("weight_grad", [False, True])
+    def test_vjp_holds_one_block_of_input_gradient_columns(self, weight_grad):
+        # the whole (144, 16*16*32) column matrix, and its gradient, is 4.7 MB;
+        # the weight gradient still copies it, but frees it before gx's blocks
+        conv = _conv(16, 16, 3, padding=1, bias=False)()
+        conv.weight.requires_grad = weight_grad
+        x = T.Tensor(_batch_inner(_rand((32, 16, 16, 16), 0, dtype=np.float32)),
+                     requires_grad=True)
+        out = conv(x)
+        g = _batch_inner(_rand(out.shape, 1, dtype=np.float32))
+        (gx, gw), peak = _held_bytes(lambda: out._vjp(g), peak=True)
+        assert (gw is not None) == weight_grad
+        padded = 16 * 18 * 18 * 32 * 4
+        columns = 144 * 16 * 16 * 32 * 4
+        workspace = columns if weight_grad else L._BLOCK_BYTES
+        assert peak <= gx.nbytes + padded + workspace + _SLACK
 
 
 class TestLinear:
