@@ -10,15 +10,15 @@ Convolution supports stride, zero padding, dilation and groups (cross
 correlation, the usual deep-learning convention). The forward copies a
 batch-innermost, group-major im2col buffer out of a strided window view of
 its input and contracts it with the kernel, one matmul per group, one block
-of output rows at a time; the weight gradient copies all the columns again,
-and the input gradient is folded back block by block, by one slice-add per
-kernel tap through a window view of its buffer (col2im). Max pooling is a
-running maximum over the kernel taps. Batch normalization and cross entropy
-are fused ops with hand-written backward rules. The vjps read their parents'
-``.data``, which conv and max pool pad again, so nothing may write into a
-recorded tensor's data before the walk, except a ReLU fused into batch norm
-or the residual add (``residual_relu``), whose buffers no vjp reads: the
-tape keeps no pre-activation or padded copy.
+of output rows at a time; the weight gradient copies them again in blocks of
+kernel rows, and the input gradient is folded back block by block, by one
+slice-add per kernel tap through a window view of its buffer (col2im). Max
+pooling is a running maximum over the kernel taps. Batch normalization and
+cross entropy are fused ops with hand-written backward rules. The vjps read
+their parents' ``.data``, which conv and max pool pad again, so nothing may
+write into a recorded tensor's data before the walk, except a ReLU fused into
+batch norm or the residual add (``residual_relu``), whose buffers no vjp
+reads: the tape keeps no pre-activation or padded copy.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _from_rows(rows, shape):
     return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
 
-# im2col bytes one block of output rows may hold (or one row): about an L2 cache
+# im2col bytes a block may hold (or one output or kernel row): about an L2 cache
 _BLOCK_BYTES = 2 * 2**20
 
 
@@ -224,7 +224,8 @@ def conv2d(x, weight, bias, spec):
     at most ``_BLOCK_BYTES`` of columns for the forward and input gradient;
     the latter slice-adds its blocks per tap from the last to the first, so
     each padded element sums its taps in row-major order, as with one block.
-    The weight gradient copies all the columns at once."""
+    The weight gradient, cols @ gg^T, copies blocks of input channels or of
+    kernel rows, which are blocks of its output rows, so none splits a sum."""
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
@@ -263,9 +264,27 @@ def conv2d(x, weight, bias, spec):
     def vjp(grad):
         gx = gw = None
         gg = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(g, og, -1)
-        if weight.requires_grad:
-            gw = np.matmul(gg, np.ascontiguousarray(windows()).reshape(g, cg * kh * kw, -1)
+        m = gg.shape[2]
+        if weight.requires_grad and pointwise and cg <= og:
+            gw = np.matmul(gg, np.ascontiguousarray(windows()).reshape(g, cg, m)
                            .transpose(0, 2, 1)).reshape(weight.shape)
+        elif weight.requires_grad:
+            # gw^T = cols @ gg^T by blocks of its rows, the columns' kernel rows
+            # (c, i): whole groups, or for g = 1 channels or kernel rows of one.
+            # One block for a 1x1 or gemv (g = og = 1); for g = 1 over 1e6 FMAs
+            # (BLAS sums fewer otherwise), and up to og rows (each re-reads gg).
+            least = c * kh if pointwise or g == og == 1 else 10**6 // (kw * og * m) + 1 if g == 1 else 1
+            most = max(least, og // kw, _BLOCK_BYTES // (kw * m * x.data.itemsize))  # kernel rows
+            unit, span = (1, kh) if g == 1 and most < kh else ((cg if g > 1 else 1) * kh, c * kh)
+            parts = min(-(-span // unit // max(1, most // unit)), max(1, span // unit // -(-least // unit)))
+            win, gwt = windows(), np.empty((c * kh * kw, og), dtype=np.result_type(gg, x.data))
+            for s, i in np.ndindex(c * kh // span, parts):  # kernel rows [a, b) of span s
+                a, b = (s * span + span // unit * j // parts * unit for j in (i, i + 1))
+                ca, cb, ga, gb = a // kh, -(-b // kh), a // (cg * kh), -(-b // (cg * kh))
+                np.matmul(np.ascontiguousarray(win[ca:cb, a - ca * kh : b - (cb - 1) * kh])
+                          .reshape(gb - ga, -1, m), gg[ga:gb].transpose(0, 2, 1),
+                          out=gwt[a * kw : b * kw].reshape(gb - ga, -1, og))
+            gw = gwt.reshape(g, -1, og).transpose(0, 2, 1).reshape(weight.shape)
         if x.requires_grad:
             kt = kmat.transpose(0, 2, 1)
             # one output channel per group (depthwise): dcols is an outer product

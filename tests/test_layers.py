@@ -694,14 +694,21 @@ _CONV_CASES = [name for name in _LAYOUT_CASES if not name.startswith(("batchnorm
 
 # tiny-preset shapes at batch 32 that the default block size splits into
 # 2-11 blocks of output rows: stem, stage-1 3x3, a stride-2 3x3, both
-# spatial gates (one output channel per group) and a depthwise 3x3
+# spatial gates (one output channel per group) and a depthwise 3x3; the
+# stem with an input that needs no gradient (the model's first conv), whose
+# weight gradient runs in blocks of kernel rows; and the cbam spatial gate
+# at batch 64 and 128, whose weight gradient is a gemv that must stay one
+# block (at 128 the 1e6 floor alone would split it by channels)
 _MODEL_SHAPE_CASES = {
-    "stem": (_conv(3, 16, 7, stride=2, padding=3, bias=False), (32, 3, 64, 64)),
-    "3x3-s1": (_conv(16, 16, 3, padding=1, bias=False), (32, 16, 16, 16)),
-    "3x3-s2": (_conv(32, 32, 3, stride=2, padding=1, bias=False), (32, 32, 16, 16)),
-    "spatial-gate": (_conv(2, 1, 7, padding=3), (32, 2, 16, 16)),
-    "dilated-gate": (_conv(2, 2, 7, padding=6, dilation=2, groups=2), (32, 2, 16, 16)),
-    "depthwise": (_conv(64, 64, 3, padding=1, groups=64, bias=False), (32, 64, 8, 8)),
+    "stem": (_conv(3, 16, 7, stride=2, padding=3, bias=False), (32, 3, 64, 64), True),
+    "stem-weight-grad": (_conv(3, 16, 7, stride=2, padding=3, bias=False), (32, 3, 64, 64), False),
+    "3x3-s1": (_conv(16, 16, 3, padding=1, bias=False), (32, 16, 16, 16), True),
+    "3x3-s2": (_conv(32, 32, 3, stride=2, padding=1, bias=False), (32, 32, 16, 16), True),
+    "spatial-gate": (_conv(2, 1, 7, padding=3), (32, 2, 16, 16), True),
+    "spatial-gate-b64": (_conv(2, 1, 7, padding=3), (64, 2, 16, 16), True),
+    "spatial-gate-b128": (_conv(2, 1, 7, padding=3), (128, 2, 16, 16), True),
+    "dilated-gate": (_conv(2, 2, 7, padding=6, dilation=2, groups=2), (32, 2, 16, 16), True),
+    "depthwise": (_conv(64, 64, 3, padding=1, groups=64, bias=False), (32, 64, 8, 8), True),
 }
 
 
@@ -727,11 +734,11 @@ class TestConvRowBlocks:
 
     @pytest.mark.parametrize("case", list(_MODEL_SHAPE_CASES))
     def test_model_shapes_keep_every_bit(self, case, monkeypatch):
-        make, shape = _MODEL_SHAPE_CASES[case]
+        make, shape, x_grad = _MODEL_SHAPE_CASES[case]
         x = _rand(shape, 3, dtype=np.float32)
-        got = _conv_run(make, x, True, np.random.default_rng(7))
+        got = _conv_run(make, x, x_grad, np.random.default_rng(7))
         monkeypatch.setattr(L, "_BLOCK_BYTES", 2**40)  # one block
-        want = _conv_run(make, x, True, np.random.default_rng(7))
+        want = _conv_run(make, x, x_grad, np.random.default_rng(7))
         _assert_same_bits(want, got)
 
     def test_stem_forward_holds_one_block_of_columns(self):
@@ -745,7 +752,8 @@ class TestConvRowBlocks:
     @pytest.mark.parametrize("weight_grad", [False, True])
     def test_vjp_holds_one_block_of_input_gradient_columns(self, weight_grad):
         # the whole (144, 16*16*32) column matrix, and its gradient, is 4.7 MB;
-        # the weight gradient still copies it, but frees it before gx's blocks
+        # the weight gradient frees each block of it before the next, and
+        # before gx's blocks
         conv = _conv(16, 16, 3, padding=1, bias=False)()
         conv.weight.requires_grad = weight_grad
         x = T.Tensor(_batch_inner(_rand((32, 16, 16, 16), 0, dtype=np.float32)),
@@ -755,9 +763,19 @@ class TestConvRowBlocks:
         (gx, gw), peak = _held_bytes(lambda: out._vjp(g), peak=True)
         assert (gw is not None) == weight_grad
         padded = 16 * 18 * 18 * 32 * 4
-        columns = 144 * 16 * 16 * 32 * 4
-        workspace = columns if weight_grad else L._BLOCK_BYTES
-        assert peak <= gx.nbytes + padded + workspace + _SLACK
+        assert peak <= gx.nbytes + padded + L._BLOCK_BYTES + _SLACK
+
+    def test_stem_weight_gradient_holds_one_block_of_columns(self):
+        # the whole (147, 32*32*32) column matrix is 19.3 MB; one kernel row
+        # of one channel, (7, 32*32*32), is 0.9 MB
+        conv = _conv(3, 16, 7, stride=2, padding=3, bias=False)()
+        out = conv(T.Tensor(_batch_inner(_rand((32, 3, 64, 64), 0, dtype=np.float32))))
+        g = _batch_inner(_rand(out.shape, 1, dtype=np.float32))
+        (gx, gw), peak = _held_bytes(lambda: out._vjp(g), peak=True)
+        assert gx is None
+        padded = 3 * 70 * 70 * 32 * 4
+        kernel_row = 7 * 32 * 32 * 32 * 4
+        assert peak <= gw.nbytes + padded + max(L._BLOCK_BYTES, kernel_row) + _SLACK
 
 
 class TestLinear:

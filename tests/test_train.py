@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import naive_augment
 from shipnet import tensor as T
 from shipnet import train as TR
-from shipnet.data import Dataset, Sample, validation_split
+from shipnet.data import Dataset, Sample, read_ppm, validation_split, write_ppm
 from shipnet.models import ModelConfig, build_model
 
 MICRO = dict(stage_blocks=(1, 1, 1, 1), base_width=8, input_size=(32, 32),
@@ -209,6 +209,25 @@ class TestEvaluate:
         r2, l2 = TR.evaluate(model, ds.samples, micro_spec(batch_size=5), ds.classes)
         assert np.array_equal(r1.confusion, r2.confusion)
         assert l1 == pytest.approx(l2, abs=1e-5)
+
+    def test_reads_images_without_keeping_them(self, tmp_path):
+        # odd samples come from files; even ones are already in memory, with
+        # paths that do not exist, so reading one would raise
+        model = build_model(micro_config(), seed=5)
+        ds = micro_dataset(per_class=3)
+        in_memory = []
+        for i, s in enumerate(ds.samples):
+            path = str(tmp_path / f"{i}.ppm")
+            write_ppm(path, s.image)
+            s.image = read_ppm(path)
+            in_memory.append(Sample(path=s.path, label=s.label, image=s.image))
+            if i % 2:
+                s.path, s.image = path, None
+        spec = micro_spec(batch_size=4)
+        report, loss = TR.evaluate(model, ds.samples, spec, ds.classes)
+        assert [s.image is None for s in ds.samples] == [i % 2 == 1 for i in range(len(ds))]
+        want_report, want_loss = TR.evaluate(model, in_memory, spec, ds.classes)
+        assert np.array_equal(report.confusion, want_report.confusion) and loss == want_loss
 
     def test_class_count_mismatch_rejected(self):
         model = build_model(micro_config(), seed=5)
