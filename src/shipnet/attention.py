@@ -34,9 +34,8 @@ class ChannelAttention(Module):
         n, c, _, _ = x.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        avg = x.mean(axes=(2, 3), keepdims=True).reshape((n, c))
-        mx = x.max(axes=(2, 3), keepdims=True).reshape((n, c))
-        gate = (self._mlp(avg) + self._mlp(mx)).sigmoid()
+        desc = T.mean_max(x, (2, 3), 0).reshape((2 * n, c))  # avg rows, then max rows
+        gate = (self._mlp(desc[:n]) + self._mlp(desc[n:])).sigmoid()
         return gate.reshape((n, c, 1, 1))
 
 
@@ -67,9 +66,7 @@ class SpatialAttention(Module):
             self.pointwise = Conv2d(Conv2dSpec(2, 1, 1, bias=False), rng)
 
     def forward(self, x):
-        avg = x.mean(axes=(1,), keepdims=True)
-        mx = x.max(axes=(1,), keepdims=True)
-        desc = T.concat([avg, mx], axis=1)
+        desc = T.mean_max(x, (1,), 1)
         if self.variant == "standard":
             pre = self.conv(desc)
         else:

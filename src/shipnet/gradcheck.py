@@ -73,9 +73,6 @@ def check_shape_ops(rng):
     yield lambda t: (T.upsample2x(t) * r).sum(), [x]
     r3 = _proj((2, 2, 3, 2), rng)
     yield lambda t: (t[:, 1:, :3, 1:3] * r3).sum(), [x]
-    y = _leaf((2, 3, 4, 4), rng)
-    r4 = _proj((2, 6, 4, 4), rng)
-    yield lambda a, b: (T.concat([a, b], axis=1) * r4).sum(), [x, y]
 
 
 _CONV_CASES = (

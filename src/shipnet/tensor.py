@@ -249,8 +249,8 @@ def _laid_out(small, like):
     return out
 
 
-def _binary(a, b, fwd, vjp_a, vjp_b, name):
-    # vjp_a(g, a_data, b_data) and vjp_b see the operands laid out like the output
+def _binary(a, b, fwd, operand_grad, name):
+    # operand_grad(g, own, other, shape): an operand's gradient; data laid out like the output
     _check_same_dtype(a, b)
     try:
         out = _like(a.data, b.data)
@@ -260,20 +260,30 @@ def _binary(a, b, fwd, vjp_a, vjp_b, name):
     out_data = fwd(ad, bd, out=out)
 
     def vjp(g):
-        ga = _unbroadcast(vjp_a(g, ad, bd), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(vjp_b(g, ad, bd), b.shape) if b.requires_grad else None
+        ga = operand_grad(g, ad, bd, a.shape) if a.requires_grad else None
+        gb = operand_grad(g, bd, ad, b.shape) if b.requires_grad else None
         return ga, gb
 
     return a._record(out_data, (a, b), vjp)
 
 
 def add(a, b):
-    return _binary(a, b, np.add, lambda g, ad, bd: g, lambda g, ad, bd: g, "add")
+    return _binary(a, b, np.add, lambda g, own, other, shape: _unbroadcast(g, shape), "add")
+
+
+def _mul_grad(g, own, other, shape):
+    # g * other summed over the axes an operand of ``shape`` was broadcast
+    # along, by one einsum: a broadcast operand (a CBAM gate) gets no
+    # full-size product
+    if g.shape == tuple(shape):
+        return np.multiply(g, other, out=_like(own, g))
+    idx = list(range(g.ndim))
+    kept = [i for i, s in zip(idx[g.ndim - len(shape):], shape) if s == g.shape[i]]
+    return np.einsum(g, idx, other, idx[g.ndim - other.ndim:], kept).reshape(shape)
 
 
 def mul(a, b):
-    return _binary(a, b, np.multiply, lambda g, ad, bd: np.multiply(g, bd, out=_like(ad, g)),
-                   lambda g, ad, bd: np.multiply(g, ad, out=_like(bd, g)), "mul")
+    return _binary(a, b, np.multiply, _mul_grad, "mul")
 
 
 def matmul(a, b):
@@ -331,27 +341,70 @@ def tmean(a, axes=None, keepdims=False):
     return _sum_op(a, axes, keepdims, mean=True)
 
 
+def _first_max(x, m, axes):
+    """Mask of the first maximal element of each group of ``x`` reduced over
+    ``axes``, in row-major order over those axes, a NaN counting as maximal
+    as in ``argmax``; ``m`` is the groups' max with the reduced axes kept.
+    An equality test against ``m`` in ``x``'s memory order finds it, and only
+    a group that holds a tie or a NaN takes an argmax."""
+    hit = np.equal(x, _laid_out(m, x), out=np.empty_like(x, dtype=bool))
+    if np.isnan(m).any():
+        hit |= np.isnan(x)  # a NaN group's max equals none of its elements
+    if np.count_nonzero(hit) != m.size:  # each group holds a hit, so some hold two
+        # the reduced axes last, behind a leading extent-1 axis that keeps a
+        # group index when every axis is reduced
+        perm = [0] + [i + 1 for i in range(x.ndim) if i not in axes] + [i + 1 for i in axes]
+        routed = hit[None].transpose(perm)
+        bad = np.nonzero(routed.sum(axis=tuple(range(-len(axes), 0))) != 1)
+        groups = x[None].transpose(perm)[bad]
+        first = groups.reshape(len(groups), -1).argmax(axis=1)
+        routed[bad] = False
+        routed[bad + np.unravel_index(first, groups.shape[1:])] = True
+    return hit
+
+
 def tmax(a, axes=None, keepdims=False):
-    """Max over axes (``ndarray.max``); ties route the gradient to the first
-    maximal element of each reduced group in row-major order, which the vjp
+    """Max over axes (``ndarray.max``); the gradient goes to the first
+    maximal element of each reduced group (``_first_max``), which the vjp
     finds from ``a.data``."""
     axes = _normalize_axes(axes, a.ndim)
     out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
+    kept = [1 if i in axes else s for i, s in enumerate(a.shape)]
 
     def vjp(g):
-        # the argmax copy moves the reduced axes last: taking the kept axes in
-        # memory order keeps that copy's reads close to sequential
-        perm = sorted(set(range(a.ndim)) - set(axes), key=lambda i: -a.data.strides[i]) + list(axes)
-        moved = a.data.transpose(perm)
-        kept = a.ndim - len(axes)
-        idx = moved.reshape(moved.shape[:kept] + (-1,)).argmax(axis=-1)
-        index = np.indices(idx.shape, sparse=True) + np.unravel_index(idx, moved.shape[kept:])
-        g = g.reshape([1 if i in axes else s for i, s in enumerate(a.shape)]).transpose(perm)
         gx = np.zeros_like(a.data)
-        gx.transpose(perm)[index] = g.reshape(idx.shape)
+        np.copyto(gx, _laid_out(g.reshape(kept), gx),
+                  where=_first_max(a.data, out_data.reshape(kept), axes))
         return (gx,)
 
     return a._record(out_data, (a,), vjp)
+
+
+def mean_max(a, axes, axis):
+    """The mean and the max of ``a`` over ``axes``, the reduced axes kept,
+    concatenated along ``axis``: CBAM's pooled descriptors, batch-innermost.
+    The vjp writes one gradient array in ``a``'s memory order, the mean's
+    share everywhere plus the max's at each group's first maximal element
+    (``_first_max``); the closure keeps only the output."""
+    axes = _normalize_axes(axes, a.ndim)
+    axis = _normalize_axes(axis, a.ndim)[0]
+    shape = [1 if i in axes else s for i, s in enumerate(a.shape)]
+    mean_at = (slice(None),) * axis + (slice(0, shape[axis]),)
+    max_at = (slice(None),) * axis + (slice(shape[axis], None),)
+    shape[axis] *= 2
+    # batch-innermost (a view of such an activation): one sum order for either memory order
+    x = np.ascontiguousarray(np.moveaxis(a.data, 0, -1)).transpose(-1, *range(a.ndim - 1))
+    out = np.empty_like(x, shape=shape)
+    count = math.prod(a.shape[i] for i in axes)
+    np.divide(_sum(x, axes, keepdims=True), count, out=out[mean_at])
+    x.max(axis=axes, keepdims=True, out=out[max_at])
+
+    def vjp(g):
+        gx = np.multiply(_first_max(a.data, out[max_at], axes), _laid_out(g[max_at], a.data),
+                         out=np.empty_like(a.data))
+        return (np.add(gx, _laid_out(g[mean_at] / count, gx), out=gx),)
+
+    return a._record(out, (a,), vjp)
 
 
 # ---- elementwise activations ------------------------------------------------
@@ -404,23 +457,6 @@ def tslice(a, index):
         return (full_g,)
 
     return a._record(out_data, (a,), vjp)
-
-
-def concat(tensors, axis):
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat of nothing")
-    for t in tensors[1:]:
-        _check_same_dtype(tensors[0], t)
-    axis = axis % tensors[0].ndim
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return tensors[0]._record(out_data, tensors, vjp)
 
 
 def upsample2x(a):

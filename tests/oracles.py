@@ -346,3 +346,66 @@ def naive_augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True):
         img = img[:, ::-1, :]
     angle = rng.uniform(-max_rotation_deg, max_rotation_deg)
     return naive_rotate_bilinear(np.ascontiguousarray(img), angle)
+
+
+def _group_positions(shape, axes, kept):
+    """Indices of the group ``kept`` (an index with 0 on ``axes``) of an
+    array of ``shape`` reduced over ``axes``, in row-major order."""
+    positions = []
+    for r in np.ndindex(*[shape[i] for i in axes]):
+        index = list(kept)
+        for ax, ri in zip(axes, r):
+            index[ax] = ri
+        positions.append(tuple(index))
+    return positions
+
+
+def _kept_indices(shape, axes):
+    return np.ndindex(*[1 if i in axes else s for i, s in enumerate(shape)])
+
+
+def _first_maximal(x, positions):
+    # argmax's rule: the first NaN, else the first of the largest values
+    best = positions[0]
+    for p in positions[1:]:
+        if math.isnan(float(x[best])):
+            break
+        if math.isnan(float(x[p])) or x[p] > x[best]:
+            best = p
+    return best
+
+
+def naive_mean_max(x, axes, axis):
+    """The mean and the max of x over ``axes`` (kept as extent-1 axes),
+    the mean first, one after the other along ``axis``; a group holding a
+    NaN has a NaN max."""
+    half = 1 if axis in axes else x.shape[axis]
+    out_shape = [1 if i in axes else s for i, s in enumerate(x.shape)]
+    out_shape[axis] *= 2
+    out = np.zeros(out_shape, dtype=np.float64)
+    for kept in _kept_indices(x.shape, axes):
+        positions = _group_positions(x.shape, axes, kept)
+        total = 0.0
+        for p in positions:
+            total += float(x[p])
+        at_max = list(kept)
+        at_max[axis] += half
+        out[kept] = total / len(positions)
+        out[tuple(at_max)] = float(x[_first_maximal(x, positions)])
+    return out
+
+
+def naive_mean_max_vjp(x, grad, axes, axis):
+    """Gradient of sum(grad * mean_max(x)): each group's mean gradient spread
+    evenly over the group, and its max gradient at the group's first maximal
+    element in row-major order (its first NaN, if it holds one)."""
+    half = 1 if axis in axes else x.shape[axis]
+    gx = np.zeros(x.shape, dtype=np.float64)
+    for kept in _kept_indices(x.shape, axes):
+        positions = _group_positions(x.shape, axes, kept)
+        at_max = list(kept)
+        at_max[axis] += half
+        for p in positions:
+            gx[p] += float(grad[kept]) / len(positions)
+        gx[_first_maximal(x, positions)] += float(grad[tuple(at_max)])
+    return gx

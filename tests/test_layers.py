@@ -512,6 +512,17 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         out, held = _held_bytes(lambda: x.max(axes=axes, keepdims=True))
         assert held <= out.data.nbytes + out.size * np.dtype(np.intp).itemsize + _SLACK
 
+    @pytest.mark.parametrize("batch_inner", [False, True])
+    @pytest.mark.parametrize("axes,axis", [((2, 3), 0), ((1,), 1)])
+    def test_mean_max_holds_only_output(self, axes, axis, batch_inner):
+        # the vjp finds each group's max again from x, so no mask, argmax or
+        # batch-innermost copy of x waits for the walk
+        x = self._leaf((8, 16, 8, 8))
+        if batch_inner:
+            x = _tensor_as_is(_batch_inner(x.data), True)
+        out, held = _held_bytes(lambda: T.mean_max(x, axes, axis))
+        assert out.requires_grad and held <= out.data.nbytes + _SLACK
+
     def test_full_preset_baseline_forward_keeps_no_pre_activation_copy(self):
         # 311.6 MiB while every batch-norm output, residual sum and ReLU
         # output stayed on the tape; 196.1 MiB with the fused ReLUs
@@ -582,6 +593,17 @@ class _Max(L.Module):
         return x.max(axes=self.axes, keepdims=True)
 
 
+class _MeanMax(L.Module):
+    """CBAM's pooled descriptors: over (2, 3) along N, over (1,) along C."""
+
+    def __init__(self, axes, axis):
+        super().__init__()
+        self.axes, self.axis = axes, axis
+
+    def forward(self, x):
+        return T.mean_max(x, self.axes, self.axis)
+
+
 # name: (module factory, input channels, whether x requires grad)
 _LAYOUT_CASES = {
     "stem-7x7-s2-p3": (_conv(3, 8, 7, stride=2, padding=3, bias=False), 3, False),
@@ -600,11 +622,14 @@ _LAYOUT_CASES = {
     "maxpool-k3-s2-p1": (lambda: L.MaxPool2d(3, 2, 1), 6, True),
     "max-over-hw": (lambda: _Max((2, 3)), 6, True),
     "max-over-channels": (lambda: _Max((1,)), 6, True),
+    "mean-max-over-hw": (lambda: _MeanMax((2, 3), 0), 6, True),
+    "mean-max-over-channels": (lambda: _MeanMax((1,), 1), 6, True),
 }
 
 
 class TestLayoutInvariance:
-    """Conv, batch norm, max pool and global max give bitwise the same output
+    """Conv, batch norm, max pool, global max and the pooled mean/max
+    descriptors give bitwise the same output
     and vjp gradients whether their input, and the incoming gradient, is
     NCHW-contiguous or a batch-innermost view of the same values."""
 
@@ -628,6 +653,31 @@ class TestLayoutInvariance:
             assert results[0][1] is None
         for other in results[1:]:
             _assert_same_bits(results[0], other)
+
+
+class TestGateProduct:
+    """A broadcast operand of ``*`` (a CBAM gate) gets the product with the
+    other operand summed over its broadcast axes, from one einsum."""
+
+    @pytest.mark.parametrize("batch_inner", [False, True])
+    @pytest.mark.parametrize("gate_first", [False, True])
+    @pytest.mark.parametrize("gate_shape", [(3, 4, 1, 1), (3, 1, 5, 6)],
+                             ids=["channel-gate", "spatial-gate"])
+    def test_gate_gradient_is_the_reduced_product(self, gate_shape, gate_first, batch_inner):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((3, 4, 5, 6))
+        gate = rng.standard_normal(gate_shape)
+        g = rng.standard_normal(x.shape)
+        layout = _batch_inner if batch_inner else np.copy
+        xt = _tensor_as_is(layout(x), True)
+        gt = T.Tensor(gate, dtype=np.float64, requires_grad=True)
+        out = gt * xt if gate_first else xt * gt
+        grads = out._vjp(layout(g))
+        g_gate, g_x = grads if gate_first else grads[::-1]
+        axes = tuple(i for i, s in enumerate(gate_shape) if s == 1)
+        assert g_gate.shape == gate_shape
+        assert np.allclose(g_gate, (g * x).sum(axis=axes, keepdims=True), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(g_x, g * gate)
 
 
 def _assert_same_bits(wants, gots):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from shipnet import tensor as T
 from shipnet.gradcheck import grad_check
 
+from oracles import naive_mean_max, naive_mean_max_vjp
+
 
 class TestCreate:
     def test_zero_fill(self):
@@ -142,6 +144,82 @@ class TestReduce:
         assert x.sum(axes=(1,)).shape == (2, 4)
 
 
+# (axes, axis): the channel gate's pool over H, W stacked along N, and the
+# spatial gate's pool over C stacked along C
+_MEAN_MAX_CASES = [((2, 3), 0), ((1,), 1)]
+
+
+def _tie_nan_plain(axes):
+    """(2, 3, 4, 4) float64 values whose groups over ``axes`` are plain but
+    for one holding a tie for its max and one holding a NaN. Counted against
+    each group's max, the tie's extra element and the NaN group's none
+    cancel, so the total count still equals the number of groups."""
+    x = np.random.default_rng(11).standard_normal((2, 3, 4, 4))
+    if axes == (2, 3):
+        top = x[0, 1].max() + 1.0
+        x[0, 1, 1, 0] = x[0, 1, 2, 3] = top
+        x[1, 2, 3, 1] = np.nan
+    else:
+        top = x[0, :, 1, 2].max() + 1.0
+        x[0, 0, 1, 2] = x[0, 2, 1, 2] = top
+        x[1, 1, 2, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        groups_max = np.max(x, axis=axes, keepdims=True)
+        assert np.count_nonzero(x == groups_max) == groups_max.size
+    return x
+
+
+class TestMeanMax:
+    @pytest.mark.parametrize("axes,axis", _MEAN_MAX_CASES)
+    def test_plain_groups_match_the_loop_oracle(self, axes, axis):
+        rng = np.random.default_rng(3)
+        x = T.Tensor(rng.standard_normal((2, 3, 4, 5)), dtype=np.float64, requires_grad=True)
+        out = T.mean_max(x, axes, axis)
+        assert np.allclose(out.data, naive_mean_max(x.data, axes, axis), rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(out.shape)
+        (gx,) = out._vjp(g)
+        assert gx.shape == x.shape and gx.dtype == np.float64
+        assert np.allclose(gx, naive_mean_max_vjp(x.data, g, axes, axis), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("axes,axis", _MEAN_MAX_CASES)
+    def test_tie_and_nan_groups_route_to_their_first_maximal_element(self, axes, axis):
+        x = _tie_nan_plain(axes)
+        out = T.mean_max(T.Tensor(x, requires_grad=True), axes, axis)
+        want = naive_mean_max(x, axes, axis)
+        assert np.array_equal(np.isnan(out.data), np.isnan(want))
+        assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12, equal_nan=True)
+        g = np.random.default_rng(12).standard_normal(out.shape)
+        (gx,) = out._vjp(g)
+        assert np.all(np.isfinite(gx))
+        assert np.allclose(gx, naive_mean_max_vjp(x, g, axes, axis), rtol=1e-12, atol=1e-12)
+
+    def test_float32_stays_float32(self):
+        x = T.Tensor(np.ones((2, 3, 2, 2), dtype=np.float32), requires_grad=True)
+        out = T.mean_max(x, (2, 3), 0)
+        assert out.shape == (4, 3, 1, 1) and out.dtype == np.float32
+        assert out._vjp(np.ones(out.shape, dtype=np.float32))[0].dtype == np.float32
+
+
+class TestMaxRouting:
+    @pytest.mark.parametrize("axes", [(2, 3), (1,)])
+    @pytest.mark.parametrize("keepdims", [True, False])
+    def test_tie_and_nan_groups_route_like_the_oracle(self, axes, keepdims):
+        x = _tie_nan_plain(axes)
+        out = T.Tensor(x, requires_grad=True).max(axes=axes, keepdims=keepdims)
+        g = np.random.default_rng(13).standard_normal(out.shape)
+        (gx,) = out._vjp(g)
+        # the oracle's max half alone: a zero gradient on the mean half
+        axis = 0 if axes == (2, 3) else 1
+        kept = [1 if i in axes else s for i, s in enumerate(x.shape)]
+        both = np.concatenate([np.zeros(kept), g.reshape(kept)], axis=axis)
+        assert np.array_equal(gx, naive_mean_max_vjp(x, both, axes, axis))
+
+    def test_full_reduction_routes_to_the_first_nan(self):
+        x = T.Tensor([1.0, np.nan, 5.0, np.nan], dtype=np.float64, requires_grad=True)
+        x.max().backward()
+        assert np.array_equal(x.grad, [0, 1, 0, 0])
+
+
 class TestActivations:
     def test_sigmoid_zero(self):
         assert T.zeros((1,)).sigmoid().item() == 0.5
@@ -184,10 +262,6 @@ class TestActivations:
 
 
 class TestShapeOps:
-    def test_concat(self):
-        out = T.concat([T.Tensor([1]), T.Tensor([2])], axis=0)
-        assert np.array_equal(out.data, [1, 2])
-
     def test_upsample2x_nearest(self):
         out = T.upsample2x(T.Tensor([[1, 2], [3, 4]]))
         expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
