@@ -50,10 +50,10 @@ def check_broadcast_ops(rng):
 def check_reduce(rng):
     x = _leaf((3, 4), rng)
     r_mean = _proj((3,), rng)
-    r_max = _proj((4,), rng)
+    r_mean_max = _proj((2, 4), rng)
     yield lambda t: t.sum(), [x]
     yield lambda t: (t.mean(axes=(1,)) * r_mean).sum(), [x]
-    yield lambda t: (t.max(axes=(0,)) * r_max).sum(), [x]
+    yield lambda t: (T.mean_max(t, (0,), 0) * r_mean_max).sum(), [x]
 
 
 def check_activations(rng):
@@ -123,8 +123,9 @@ def check_maxpool(rng):
 def check_global_pool(rng):
     x = _leaf((2, 3, 4, 4), rng)
     r = _proj((2, 3, 1, 1), rng)
+    r2 = _proj((4, 3, 1, 1), rng)
     yield lambda t: (t.mean(axes=(2, 3), keepdims=True) * r).sum(), [x]
-    yield lambda t: (t.max(axes=(2, 3), keepdims=True) * r).sum(), [x]
+    yield lambda t: (T.mean_max(t, (2, 3), 0) * r2).sum(), [x]
 
 
 def check_linear(rng):

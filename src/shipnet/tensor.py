@@ -342,11 +342,7 @@ def tmean(a, axes=None, keepdims=False):
 
 
 def _first_max(x, m, axes):
-    """Mask of the first maximal element of each group of ``x`` reduced over
-    ``axes``, in row-major order over those axes, a NaN counting as maximal
-    as in ``argmax``; ``m`` is the groups' max with the reduced axes kept.
-    An equality test against ``m`` in ``x``'s memory order finds it, and only
-    a group that holds a tie or a NaN takes an argmax."""
+    # mean_max's mask of each group's first maximal element; m is the max
     hit = np.equal(x, _laid_out(m, x), out=np.empty_like(x, dtype=bool))
     if np.isnan(m).any():
         hit |= np.isnan(x)  # a NaN group's max equals none of its elements
@@ -363,46 +359,44 @@ def _first_max(x, m, axes):
     return hit
 
 
-def tmax(a, axes=None, keepdims=False):
-    """Max over axes (``ndarray.max``); the gradient goes to the first
-    maximal element of each reduced group (``_first_max``), which the vjp
-    finds from ``a.data``."""
-    axes = _normalize_axes(axes, a.ndim)
-    out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims), dtype=a.dtype)
-    kept = [1 if i in axes else s for i, s in enumerate(a.shape)]
-
-    def vjp(g):
-        gx = np.zeros_like(a.data)
-        np.copyto(gx, _laid_out(g.reshape(kept), gx),
-                  where=_first_max(a.data, out_data.reshape(kept), axes))
-        return (gx,)
-
-    return a._record(out_data, (a,), vjp)
+def _span(axis, start, stop):
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 def mean_max(a, axes, axis):
     """The mean and the max of ``a`` over ``axes``, the reduced axes kept,
-    concatenated along ``axis``: CBAM's pooled descriptors, batch-innermost.
-    The vjp writes one gradient array in ``a``'s memory order, the mean's
-    share everywhere plus the max's at each group's first maximal element
-    (``_first_max``); the closure keeps only the output."""
+    concatenated along ``axis``: CBAM's pooled descriptors, reduced on the
+    ``(C, H*W, N)`` rows of a batch-innermost copy or view of ``a`` (one sum
+    order for either memory order). With a batch of more than one, the reduced axis next to N in memory (W) is
+    maxed by ``np.maximum`` of halves after ``max`` over the others: numpy's
+    ``max`` would take it one N-long row at a time. The vjp writes one
+    gradient in ``a``'s memory order: the mean's share everywhere, plus the
+    max's at each group's first maximal element in row-major order (a NaN
+    counting as maximal, as in ``argmax``), found by an equality mask
+    against the kept max and, only for a group holding a tie or a NaN, an
+    ``argmax``. The closure keeps only the output."""
     axes = _normalize_axes(axes, a.ndim)
     axis = _normalize_axes(axis, a.ndim)[0]
     shape = [1 if i in axes else s for i, s in enumerate(a.shape)]
-    mean_at = (slice(None),) * axis + (slice(0, shape[axis]),)
-    max_at = (slice(None),) * axis + (slice(shape[axis], None),)
+    mean_at, max_at = _span(axis, 0, shape[axis]), _span(axis, shape[axis], None)
     shape[axis] *= 2
-    # batch-innermost (a view of such an activation): one sum order for either memory order
-    x = np.ascontiguousarray(np.moveaxis(a.data, 0, -1)).transpose(-1, *range(a.ndim - 1))
+    x = np.ascontiguousarray(a.data.transpose(*range(1, a.ndim), 0))
+    x = x.transpose(-1, *range(a.ndim - 1))
     out = np.empty_like(x, shape=shape)
     count = math.prod(a.shape[i] for i in axes)
     np.divide(_sum(x, axes, keepdims=True), count, out=out[mean_at])
-    x.max(axis=axes, keepdims=True, out=out[max_at])
+    last = axes[-1] if a.shape[0] > 1 and axes[-1] > 1 else None
+    x = x.max(axis=tuple(i for i in axes if i != last), keepdims=True)
+    while last is not None and x.shape[last] > 1:  # odd: the halves share the middle
+        h = (x.shape[last] + 1) // 2
+        x = np.maximum(x[_span(last, 0, h)], x[_span(last, x.shape[last] - h, None)])
+    out[max_at] = x
 
     def vjp(g):
-        gx = np.multiply(_first_max(a.data, out[max_at], axes), _laid_out(g[max_at], a.data),
-                         out=np.empty_like(a.data))
-        return (np.add(gx, _laid_out(g[mean_at] / count, gx), out=gx),)
+        gx = np.empty_like(a.data)
+        gx[...] = _laid_out(g[mean_at] / count, gx)
+        hit = _first_max(a.data, out[max_at], axes)
+        return (np.add(gx, _laid_out(g[max_at], gx), out=gx, where=hit),)
 
     return a._record(out, (a,), vjp)
 
@@ -492,7 +486,6 @@ Tensor.__matmul__ = matmul
 Tensor.__getitem__ = tslice
 Tensor.sum = tsum
 Tensor.mean = tmean
-Tensor.max = tmax
 Tensor.relu = relu
 Tensor.sigmoid = sigmoid
 Tensor.reshape = reshape

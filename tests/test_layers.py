@@ -447,9 +447,9 @@ class TestGlobalPool:
         x = T.Tensor(np.asarray([1, 3, 5, 7]).reshape(1, 1, 2, 2))
         assert x.mean(axes=(2, 3), keepdims=True).data.ravel()[0] == 4
 
-    def test_max_constant(self):
+    def test_mean_max_constant(self):
         x = T.Tensor(np.full((2, 3, 4, 4), 2.5, dtype=np.float32))
-        assert np.all(x.max(axes=(2, 3), keepdims=True).data == 2.5)
+        assert np.all(T.mean_max(x, (2, 3), 0).data == 2.5)
 
     def test_avg_equals_mean_reduce(self):
         x = T.Tensor(_rand((2, 3, 4, 4), 5, dtype=np.float32))
@@ -505,12 +505,6 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         bn = L.BatchNorm2d(16)
         out, held = _held_bytes(lambda: bn(x))
         assert held <= out.data.nbytes + _SLACK
-
-    @pytest.mark.parametrize("axes", [(1,), (1, 3)])
-    def test_max_holds_output_and_argmax(self, axes):
-        x = self._leaf((8, 16, 8, 8))
-        out, held = _held_bytes(lambda: x.max(axes=axes, keepdims=True))
-        assert held <= out.data.nbytes + out.size * np.dtype(np.intp).itemsize + _SLACK
 
     @pytest.mark.parametrize("batch_inner", [False, True])
     @pytest.mark.parametrize("axes,axis", [((2, 3), 0), ((1,), 1)])
@@ -582,17 +576,6 @@ def _conv(*spec, **kwargs):
     return lambda: L.Conv2d(L.Conv2dSpec(*spec, **kwargs), np.random.default_rng(1))
 
 
-class _Max(L.Module):
-    """CBAM's global max pools: over (2, 3) per channel, over (1,) per location."""
-
-    def __init__(self, axes):
-        super().__init__()
-        self.axes = axes
-
-    def forward(self, x):
-        return x.max(axes=self.axes, keepdims=True)
-
-
 class _MeanMax(L.Module):
     """CBAM's pooled descriptors: over (2, 3) along N, over (1,) along C."""
 
@@ -620,18 +603,16 @@ _LAYOUT_CASES = {
     "batchnorm-relu-train": (lambda: _bn(True, relu=True), 6, True),
     "batchnorm-relu-eval": (lambda: _bn(False, relu=True), 6, True),
     "maxpool-k3-s2-p1": (lambda: L.MaxPool2d(3, 2, 1), 6, True),
-    "max-over-hw": (lambda: _Max((2, 3)), 6, True),
-    "max-over-channels": (lambda: _Max((1,)), 6, True),
     "mean-max-over-hw": (lambda: _MeanMax((2, 3), 0), 6, True),
     "mean-max-over-channels": (lambda: _MeanMax((1,), 1), 6, True),
 }
 
 
 class TestLayoutInvariance:
-    """Conv, batch norm, max pool, global max and the pooled mean/max
-    descriptors give bitwise the same output
-    and vjp gradients whether their input, and the incoming gradient, is
-    NCHW-contiguous or a batch-innermost view of the same values."""
+    """Conv, batch norm, max pool and the pooled mean/max descriptors give
+    bitwise the same output and vjp gradients whether their input, and the
+    incoming gradient, is NCHW-contiguous or a batch-innermost view of the
+    same values."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("case", list(_LAYOUT_CASES))

@@ -107,23 +107,16 @@ class TestReduce:
         t = T.Tensor(np.full((3, 5), 2.5, dtype=np.float32))
         assert t.mean().item() == pytest.approx(2.5)
 
-    def test_max_tie_routes_to_first(self):
-        x = T.Tensor([3, 1, 3], dtype=np.float64, requires_grad=True)
-        m = x.max()
-        assert m.item() == 3
-        m.backward()
-        assert np.array_equal(x.grad, [1, 0, 0])
-
-    @pytest.mark.parametrize("axes,keepdims", [((1,), True), ((0, 2), False), (None, False)])
-    def test_unrecorded_max_equals_recorded(self, axes, keepdims):
-        data = T.make_rng(4).standard_normal((3, 4, 5)).astype(np.float32)
+    @pytest.mark.parametrize("axes,axis", [((2, 3), 0), ((1,), 1)])
+    def test_unrecorded_mean_max_equals_recorded(self, axes, axis):
+        data = T.make_rng(4).standard_normal((3, 4, 5, 3)).astype(np.float32)
         data[0, 1, :] = data[0, 2, :]
-        data[2, 3, 4] = np.nan
-        recorded = T.Tensor(data, requires_grad=True).max(axes=axes, keepdims=keepdims)
+        data[2, 3, 4, 1] = np.nan
+        recorded = T.mean_max(T.Tensor(data, requires_grad=True), axes, axis)
         assert recorded.requires_grad
-        plain = T.Tensor(data).max(axes=axes, keepdims=keepdims)
+        plain = T.mean_max(T.Tensor(data), axes, axis)
         with T.no_grad():
-            off = T.Tensor(data, requires_grad=True).max(axes=axes, keepdims=keepdims)
+            off = T.mean_max(T.Tensor(data, requires_grad=True), axes, axis)
         for t in (plain, off):
             assert not t.requires_grad
             assert t.shape == recorded.shape and t.dtype == recorded.dtype
@@ -150,15 +143,16 @@ _MEAN_MAX_CASES = [((2, 3), 0), ((1,), 1)]
 
 
 def _tie_nan_plain(axes):
-    """(2, 3, 4, 4) float64 values whose groups over ``axes`` are plain but
-    for one holding a tie for its max and one holding a NaN. Counted against
-    each group's max, the tie's extra element and the NaN group's none
-    cancel, so the total count still equals the number of groups."""
-    x = np.random.default_rng(11).standard_normal((2, 3, 4, 4))
+    """(2, 3, 5, 7) float64 values whose groups over ``axes`` are plain but
+    for one holding a tie for its max and one holding a NaN (over (2, 3), in
+    the odd last row and column that the halving max folds in). Counted
+    against each group's max, the tie's extra element and the NaN group's
+    none cancel, so the total count still equals the number of groups."""
+    x = np.random.default_rng(11).standard_normal((2, 3, 5, 7))
     if axes == (2, 3):
         top = x[0, 1].max() + 1.0
         x[0, 1, 1, 0] = x[0, 1, 2, 3] = top
-        x[1, 2, 3, 1] = np.nan
+        x[1, 2, 4, 6] = np.nan
     else:
         top = x[0, :, 1, 2].max() + 1.0
         x[0, 0, 1, 2] = x[0, 2, 1, 2] = top
@@ -193,31 +187,18 @@ class TestMeanMax:
         assert np.all(np.isfinite(gx))
         assert np.allclose(gx, naive_mean_max_vjp(x, g, axes, axis), rtol=1e-12, atol=1e-12)
 
+    def test_full_reduction_routes_to_the_first_nan(self):
+        x = T.Tensor([1.0, np.nan, 5.0, np.nan], dtype=np.float64, requires_grad=True)
+        out = T.mean_max(x, None, 0)
+        assert out.shape == (2,) and np.isnan(out.data[1])
+        (gx,) = out._vjp(np.array([0.0, 1.0]))
+        assert np.array_equal(gx, [0, 1, 0, 0])
+
     def test_float32_stays_float32(self):
         x = T.Tensor(np.ones((2, 3, 2, 2), dtype=np.float32), requires_grad=True)
         out = T.mean_max(x, (2, 3), 0)
         assert out.shape == (4, 3, 1, 1) and out.dtype == np.float32
         assert out._vjp(np.ones(out.shape, dtype=np.float32))[0].dtype == np.float32
-
-
-class TestMaxRouting:
-    @pytest.mark.parametrize("axes", [(2, 3), (1,)])
-    @pytest.mark.parametrize("keepdims", [True, False])
-    def test_tie_and_nan_groups_route_like_the_oracle(self, axes, keepdims):
-        x = _tie_nan_plain(axes)
-        out = T.Tensor(x, requires_grad=True).max(axes=axes, keepdims=keepdims)
-        g = np.random.default_rng(13).standard_normal(out.shape)
-        (gx,) = out._vjp(g)
-        # the oracle's max half alone: a zero gradient on the mean half
-        axis = 0 if axes == (2, 3) else 1
-        kept = [1 if i in axes else s for i, s in enumerate(x.shape)]
-        both = np.concatenate([np.zeros(kept), g.reshape(kept)], axis=axis)
-        assert np.array_equal(gx, naive_mean_max_vjp(x, both, axes, axis))
-
-    def test_full_reduction_routes_to_the_first_nan(self):
-        x = T.Tensor([1.0, np.nan, 5.0, np.nan], dtype=np.float64, requires_grad=True)
-        x.max().backward()
-        assert np.array_equal(x.grad, [0, 1, 0, 0])
 
 
 class TestActivations:
