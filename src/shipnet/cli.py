@@ -40,7 +40,8 @@ def _add_config_flags(sub):
 
 
 def _load_config(args, variants=()):
-    """The layered RunConfig, checked with the model of each of ``variants``."""
+    """The layered RunConfig, checked with the model of each of ``variants``;
+    a command that trains them all takes no variant from its command line."""
     overrides = []
     for item in args.set:
         if "=" not in item:
@@ -51,6 +52,9 @@ def _load_config(args, variants=()):
     for dest, value in vars(args).items():
         if dest.startswith("key_") and value is not None:
             overrides.append((dest[4:], value))
+    if variants and any(key == "variant" for key, _ in overrides):
+        flag = "--variant" if args.key_variant is not None else "--set variant"
+        raise CliError(f"{flag} does not apply to {args.command}, which trains {', '.join(variants)}")
     try:
         cfg = RunConfig.load(args.config, overrides)
         for variant in variants:
@@ -222,8 +226,6 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    if args.key_variant is not None:
-        raise CliError(f"--variant does not apply to compare, which trains {', '.join(VARIANTS)}")
     cfg = _load_config(args, VARIANTS)
     ds, notes = _load_dataset(cfg, cfg.num_classes)
     # one shared split and seed across all variants

@@ -87,9 +87,7 @@ class Sample:
     image: np.ndarray | None = None
 
     def load(self):
-        if self.image is None:
-            self.image = read_ppm(self.path)
-        return self.image
+        return read_ppm(self.path) if self.image is None else self.image
 
 
 @dataclass
@@ -189,7 +187,7 @@ def normalize(img, mean, std):
 
 
 def dataset_mean_std(samples):
-    """Per-channel mean/std over a sample list (loads images)."""
+    """Per-channel mean/std over a sample list (decodes each image once)."""
     total = np.zeros(3, dtype=np.float64)
     total_sq = np.zeros(3, dtype=np.float64)
     count = 0

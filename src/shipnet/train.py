@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import augment, normalize, read_ppm, resize_bilinear, validation_split
+from .data import augment, normalize, resize_bilinear, validation_split
 from .layers import cross_entropy
 from .metrics import MetricsReport
 from .models import (ModelConfig, build_model, format_settings, parse_floats3,
@@ -106,8 +106,7 @@ class TrainState:
 
 
 def _prepare_sample(sample, spec, train, epoch, index):
-    # an evaluation reads each image once, so it keeps none on its sample
-    img = sample.load() if train or sample.image is not None else read_ppm(sample.path)
+    img = sample.load()
     if spec.resize_to is not None and img.shape[1:] != tuple(spec.resize_to):
         img = resize_bilinear(img, spec.resize_to)
     if train and spec.augment:

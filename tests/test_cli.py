@@ -451,14 +451,28 @@ class TestCompare:
         for variant in ("baseline", "cbam", "enhanced"):
             assert os.path.exists(os.path.join(out, variant, "report.json"))
 
-    def test_variant_flag_exits_2_before_writing(self, tmp_path, corpus, capsys):
-        # compare trains every variant, so a --variant would only be recorded
+    @pytest.mark.parametrize("chosen, flag", [(["--variant", "cbam"], "--variant"),
+                                              (["--set", "variant=cbam"], "--set variant")])
+    def test_variant_flag_exits_2_before_writing(self, tmp_path, corpus, capsys, chosen, flag):
+        # compare trains every variant, so a chosen one would only be recorded
         out = tmp_path / "cmp"
-        code = main(["compare", "--data", corpus, "--out", str(out), "--variant", "cbam",
-                     "--epochs", "1"] + MICRO_SETS)
+        code = main(["compare", "--data", corpus, "--out", str(out), "--epochs", "1"]
+                    + chosen + MICRO_SETS)
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: --variant ") and "Traceback" not in err
+        assert err == (f"error: {flag} does not apply to compare, which trains "
+                       "baseline, cbam, enhanced\n")
+
+    def test_config_file_may_list_variant(self, tmp_path, capsys):
+        # compare's own config.txt lists variant, so it must load as --config;
+        # the missing data directory then stops the run with exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant=cbam\n")
+        missing = tmp_path / "missing"
+        code = main(["compare", "--config", str(cfg), "--data", str(missing),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: dataset root {missing} is not a directory\n"
 
 
 class TestGradcheckCli:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from oracles import naive_augment
 from shipnet import tensor as T
 from shipnet import train as TR
-from shipnet.data import Dataset, Sample, read_ppm, validation_split, write_ppm
+from shipnet.data import (Dataset, Sample, dataset_mean_std, read_ppm, validation_split,
+                          write_ppm)
 from shipnet.models import ModelConfig, build_model
 
 MICRO = dict(stage_blocks=(1, 1, 1, 1), base_width=8, input_size=(32, 32),
@@ -212,8 +213,9 @@ class TestEvaluate:
 
     def test_reads_images_without_keeping_them(self, tmp_path):
         # odd samples come from files; even ones are already in memory, with
-        # paths that do not exist, so reading one would raise
-        model = build_model(micro_config(), seed=5)
+        # paths that do not exist, so reading one would raise. Evaluation,
+        # the normalization pass and a training epoch each decode the files
+        # anew and keep no image on their samples
         ds = micro_dataset(per_class=3)
         in_memory = []
         for i, s in enumerate(ds.samples):
@@ -223,11 +225,24 @@ class TestEvaluate:
             in_memory.append(Sample(path=s.path, label=s.label, image=s.image))
             if i % 2:
                 s.path, s.image = path, None
+        file_backed = [i % 2 == 1 for i in range(len(ds))]
+        model = build_model(micro_config(), seed=5)
         spec = micro_spec(batch_size=4)
         report, loss = TR.evaluate(model, ds.samples, spec, ds.classes)
-        assert [s.image is None for s in ds.samples] == [i % 2 == 1 for i in range(len(ds))]
+        assert [s.image is None for s in ds.samples] == file_backed
         want_report, want_loss = TR.evaluate(model, in_memory, spec, ds.classes)
         assert np.array_equal(report.confusion, want_report.confusion) and loss == want_loss
+
+        mean_std = dataset_mean_std(ds.samples)
+        assert [s.image is None for s in ds.samples] == file_backed
+        assert np.array_equal(mean_std, dataset_mean_std(in_memory))
+
+        spec = micro_spec(batch_size=4, augment=True)
+        models = [build_model(micro_config(), seed=5) for _ in range(2)]
+        out = TR.train_epoch(models[0], ds.samples, TR.AdamState(), spec, epoch=0)
+        assert [s.image is None for s in ds.samples] == file_backed
+        assert out == TR.train_epoch(models[1], in_memory, TR.AdamState(), spec, epoch=0)
+        assert_same_parameters(parameters(models[0]), parameters(models[1]))
 
     def test_class_count_mismatch_rejected(self):
         model = build_model(micro_config(), seed=5)
