@@ -132,17 +132,13 @@ def _emit_report(out_dir, report):
     _write(os.path.join(out_dir, "confusion.csv"), confusion_csv(report))
 
 
-def _train_one(cfg, variant, train_set, test_set, out_dir, log_prefix="",
+def _train_one(cfg, variant, norm, train_set, test_set, out_dir, log_prefix="",
                resume_path=None, resume_state=None):
-    """Fit one variant (from scratch or from ``resume_state``, loaded from
-    ``resume_path``), then report the best-on-validation model on the test
-    split."""
+    """Fit one variant under the ``norm`` (mean, std) pair (from scratch or
+    from ``resume_state``, loaded from ``resume_path``), then report the
+    best-on-validation model on the test split."""
     model_config = cfg.model_config(variant)
-    if resume_state is None:
-        norm_mean, norm_std = _resolve_norm(cfg, train_set.samples)
-    else:
-        norm_mean, norm_std = resume_state.norm_mean, resume_state.norm_std
-    spec = cfg.run_spec(norm_mean, norm_std)
+    spec = cfg.run_spec(*norm)
 
     def log(line):
         print(f"{log_prefix}{line}")
@@ -198,7 +194,9 @@ def cmd_train(args):
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     _check_fit_split(cfg, train_set)
     out_dir = _start_run(cfg, args.force, notes)
-    _train_one(cfg, cfg.variant, train_set, test_set, out_dir,
+    norm = (_resolve_norm(cfg, train_set.samples) if resume_state is None
+            else (resume_state.norm_mean, resume_state.norm_std))
+    _train_one(cfg, cfg.variant, norm, train_set, test_set, out_dir,
                resume_path=args.resume, resume_state=resume_state)
     return 0
 
@@ -232,11 +230,12 @@ def cmd_compare(args):
     train_set, test_set = split_dataset(ds, ratio=cfg.split_ratio, seed=cfg.seed)
     _check_fit_split(cfg, train_set)
     out_dir = _start_run(cfg, args.force, notes)
+    norm = _resolve_norm(cfg, train_set.samples)
     rows = []
     for variant in VARIANTS:
         vdir = os.path.join(out_dir, variant)
         os.makedirs(vdir, exist_ok=True)
-        report = _train_one(cfg, variant, train_set, test_set, vdir,
+        report = _train_one(cfg, variant, norm, train_set, test_set, vdir,
                             log_prefix=f"[{variant}] ")
         rows.append((variant, report.accuracy, report.macro[2]))
     lines = ["variant\ttest_accuracy\tmacro_f1"]

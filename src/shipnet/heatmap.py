@@ -1,6 +1,8 @@
 """Attention visualizations: spatial-gate heatmaps from attention-equipped
 variants and gradient-weighted class activation maps for any variant, both
-upsampled to input resolution and overlaid on the source image."""
+upsampled to input resolution and overlaid on the source image. A spatial-gate
+map records nothing and ends the forward at its gate, so an early stage's map
+costs a fraction of a forward; Grad-CAM records from its stage's input on."""
 
 from __future__ import annotations
 
@@ -14,16 +16,28 @@ from .models import STAGES
 METHODS = ("spatial-gate", "gradcam")
 
 
-def _forward(model, img_norm, module):
-    """Logits of one image and the output ``module`` gave in that forward."""
+class _Stop(Exception):
+    """Ends a forward once the module it reads has returned."""
+
+
+def _forward(model, img_norm, module, record_after=None, stop=False):
+    """Logits of one image (None if ``stop`` ends the forward at ``module``)
+    and ``module``'s output; ops record from ``record_after``'s return to the end."""
     kept = []
 
-    def keep(mod, args, out):
+    def hook(mod, args, out):
+        if mod is record_after:
+            T.set_grad_enabled(True)
         if mod is module:
             kept.append(out)
+            if stop:
+                raise _Stop
 
-    with watch(keep):
-        logits = model(T.Tensor(img_norm[None].astype(np.float32)))
+    try:
+        with T.no_grad(), watch(hook):
+            logits = model(T.Tensor(img_norm[None].astype(np.float32)))
+    except _Stop:
+        logits = None
     return logits, kept[0]
 
 
@@ -41,8 +55,7 @@ def spatial_gate_map(model, img_norm, stage=None):
                          + (f" in stage {stage}" if stage is not None else ""))
     cbam = cbams[-1]
     # a bypassed block runs no spatial gate; its [C,h,w] output gives the extents
-    with T.no_grad():
-        out = _forward(model, img_norm, cbam if cbam.bypass else cbam.spatial)[1].data[0]
+    out = _forward(model, img_norm, cbam if cbam.bypass else cbam.spatial, stop=True)[1].data[0]
     gate = np.ones_like(out[:1]) if cbam.bypass else out
     return resize_bilinear(gate, img_norm.shape[1:])[0]
 
@@ -53,7 +66,8 @@ def gradcam_map(model, img_norm, stage=5, target_class=None):
     if stage not in STAGES:
         raise ValueError(f"stage {stage!r} is not one of {STAGES}")
     model.eval()
-    logits, act = _forward(model, img_norm, getattr(model, f"stage{stage}"))
+    feeder = model.stem_pool if stage == STAGES[0] else getattr(model, f"stage{stage - 1}")
+    logits, act = _forward(model, img_norm, getattr(model, f"stage{stage}"), record_after=feeder)
     if target_class is None:
         target_class = int(logits.data[0].argmax())
     if not 0 <= target_class < logits.shape[1]:
@@ -63,11 +77,8 @@ def gradcam_map(model, img_norm, stage=5, target_class=None):
     acts = act.data[0]
     weights = grads.mean(axis=(1, 2))
     cam = np.maximum((weights[:, None, None] * acts).sum(axis=0), 0.0)
-    peak = cam.max()
-    if peak > cam.min():
-        cam = (cam - cam.min()) / (peak - cam.min())
-    else:
-        cam = np.zeros_like(cam)
+    lo, peak = cam.min(), cam.max()
+    cam = (cam - lo) / (peak - lo) if peak > lo else np.zeros_like(cam)
     return np.clip(resize_bilinear(cam[None], img_norm.shape[1:])[0], 0.0, 1.0)
 
 

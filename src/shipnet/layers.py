@@ -42,7 +42,8 @@ def watch(hook):
     after each forward; the previous hook is restored on exit. The hook sees
     each output as its module returned it (post-ReLU for a ``relu=True`` batch
     norm); ``residual_relu`` later writes into a bottleneck's ``bn3`` or
-    attention output, so a hook keeping one past its call copies its data."""
+    attention output, so a hook keeping one past its call copies its data. A
+    hook may end the forward by raising, for the caller of the forward to catch."""
     global _hook
     prev, _hook = _hook, hook
     try:
@@ -53,8 +54,8 @@ def watch(hook):
 
 class Module:
     """Minimal layer container: child discovery via attributes, and one
-    preorder walk, ``modules()``, behind named parameters/buffers, ``astype``
-    and train/eval mode propagation."""
+    preorder walk, ``modules()``, behind named parameters/buffers and
+    ``astype``; train/eval set the mode in the same walk without names."""
 
     def __init__(self):
         self.training = True
@@ -101,15 +102,19 @@ class Module:
     def named_buffers(self):
         return ((n, t) for n, t in self._named_tensors() if not t.requires_grad)
 
-    def train(self):
-        for _, mod in self.modules():
-            mod.training = True
+    def train(self, mode=True):
+        self.training = mode
+        for value in vars(self).values():
+            if isinstance(value, Module):
+                value.train(mode)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, Module):
+                        item.train(mode)
         return self
 
     def eval(self):
-        for _, mod in self.modules():
-            mod.training = False
-        return self
+        return self.train(False)
 
     def zero_grad(self):
         for p in self.parameters():

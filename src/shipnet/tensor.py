@@ -24,16 +24,21 @@ _grad_enabled = True
 _created = itertools.count()  # creation numbers: a tensor's parents have smaller ones
 
 
+def set_grad_enabled(flag):
+    """Switch graph recording on or off; returns the setting to restore."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, bool(flag)
+    return prev
+
+
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference, optimizer math)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    prev = set_grad_enabled(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        set_grad_enabled(prev)
 
 
 def _as_dtype(dtype):

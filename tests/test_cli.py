@@ -13,7 +13,7 @@ import shipnet
 import shipnet.cli
 from shipnet.cli import main
 from shipnet.config import RunConfig
-from shipnet.data import decode_ppm, read_ppm
+from shipnet.data import dataset_mean_std, decode_ppm, read_ppm
 from shipnet.heatmap import METHODS
 from shipnet.metrics import round2
 from shipnet.models import VARIANTS, ModelConfig, build_model
@@ -450,6 +450,21 @@ class TestCompare:
             assert 0.0 <= float(f1) <= 1.0
         for variant in ("baseline", "cbam", "enhanced"):
             assert os.path.exists(os.path.join(out, variant, "report.json"))
+
+    def test_normalization_is_resolved_once_for_all_variants(self, tmp_path, corpus,
+                                                              monkeypatch):
+        # every variant trains on the same split, so one pass over it serves all three
+        calls = []
+
+        def counted(samples):
+            calls.append(len(samples))
+            return dataset_mean_std(samples)
+
+        monkeypatch.setattr(shipnet.cli, "dataset_mean_std", counted)
+        code = main(["compare", "--data", corpus, "--out", str(tmp_path / "cmp"),
+                     "--epochs", "1", "--batch-size", "8", "--seed", "5"]
+                    + MICRO_SETS + ["--set", "norm=dataset"])
+        assert code == 0 and len(calls) == 1
 
     @pytest.mark.parametrize("chosen, flag", [(["--variant", "cbam"], "--variant"),
                                               (["--set", "variant=cbam"], "--set variant")])

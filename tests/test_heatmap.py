@@ -5,8 +5,9 @@ import pytest
 
 from shipnet import heatmap as H
 from shipnet import tensor as T
-from shipnet.data import decode_ppm
-from shipnet.layers import watch
+from shipnet.attention import set_attention_bypass
+from shipnet.data import decode_ppm, resize_bilinear
+from shipnet.layers import Module, watch
 from shipnet.models import ModelConfig, build_model
 
 from oracles import naive_gradcam
@@ -34,6 +35,28 @@ def _output_of(model, x, module):
 
 def _cbam_model(seed=0):
     return build_model(ModelConfig.make("cbam", **MICRO), seed=seed)
+
+
+def _spy_calls(monkeypatch, when):
+    """Record (module, output) for every module call, at its start
+    (``when="start"``, output None) or once it has returned."""
+    calls = []
+    call = Module.__call__
+
+    def spy(mod, *args, **kwargs):
+        if when == "start":
+            calls.append((mod, None))
+        out = call(mod, *args, **kwargs)
+        if when != "start":
+            calls.append((mod, out))
+        return out
+
+    monkeypatch.setattr(Module, "__call__", spy)
+    return calls
+
+
+def _records():
+    return T.Tensor(np.ones(2), requires_grad=True).sum().requires_grad
 
 
 class TestSpatialGateMap:
@@ -76,10 +99,36 @@ class TestSpatialGateMap:
             g2.argmax(), g2.shape)
 
     def test_bypass_gated_model_exactly_uniform(self):
-        from shipnet.attention import set_attention_bypass
         model = _cbam_model(seed=7)
         set_attention_bypass(model, True)
         heat = H.spatial_gate_map(model, _img(12))
+        assert np.all(heat == 1.0)
+
+    @pytest.mark.parametrize("variant", ["cbam", "enhanced"])
+    @pytest.mark.parametrize("stage", [None, 2])
+    def test_forward_ends_at_the_gate_it_reads(self, variant, stage, monkeypatch):
+        model = build_model(ModelConfig.make(variant, **MICRO), seed=10)
+        img = _img(14)
+        gate = getattr(model, f"stage{stage or 5}").items[-1].cbam.spatial
+        model.eval()
+        with T.no_grad():
+            full = _output_of(model, T.Tensor(img[None]), gate)[1].data[0]
+        started = _spy_calls(monkeypatch, "start")
+        heat = H.spatial_gate_map(model, img, stage=stage)
+        mods = [m for m, _ in started]
+        # after the gate starts, only the gate's own children run
+        assert set(mods[mods.index(gate):]) <= {m for _, m in gate.modules()}
+        assert model.head not in mods
+        assert heat.tobytes() == resize_bilinear(full, (32, 32))[0].tobytes()
+
+    def test_bypassed_block_forward_ends_at_the_block(self, monkeypatch):
+        model = _cbam_model(seed=7)
+        set_attention_bypass(model, True)
+        cbam = model.stage2.items[-1].cbam
+        started = _spy_calls(monkeypatch, "start")
+        heat = H.spatial_gate_map(model, _img(12), stage=2)
+        mods = [m for m, _ in started]
+        assert mods[-1] is cbam and model.stage3 not in mods
         assert np.all(heat == 1.0)
 
     @pytest.mark.parametrize("stage", [1, 7])
@@ -125,7 +174,6 @@ class TestGradcamMap:
         heat = H.gradcam_map(model, img, stage=5, target_class=2)
         h, w = ref_small.shape
         # compare at the native stage resolution (before upsampling)
-        from shipnet.data import resize_bilinear
         up = resize_bilinear(ref_small[None].astype(np.float32), (32, 32))[0]
         assert np.max(np.abs(heat - up)) < 1e-5
 
@@ -153,17 +201,34 @@ class TestGradcamMap:
         H.gradcam_map(model, _img(13), stage=2, target_class=1)
         assert all(p.grad is g for p, g in zip(params, before))
 
-    def test_walk_bounded_at_the_activation_gives_the_full_walk_bits(self):
+    @pytest.mark.parametrize("variant", ["baseline", "cbam", "enhanced"])
+    @pytest.mark.parametrize("stage", [2, 5])
+    def test_walk_bounded_at_the_activation_gives_the_full_walk_bits(
+            self, variant, stage, monkeypatch):
         # the enhanced model's fusion laterals lead back into stages 3 and 4,
         # below the stage-5 activation; x as a second target walks them all
-        model = build_model(ModelConfig.make("enhanced", **MICRO), seed=8).eval()
+        model = build_model(ModelConfig.make(variant, **MICRO), seed=8).eval()
         grads = []
         for wrt_x in (False, True):
             x = T.Tensor(_img(9)[None], requires_grad=True)
-            logits, act = _output_of(model, x, model.stage5)
+            logits, act = _output_of(model, x, getattr(model, f"stage{stage}"))
             grads.append(T.grad(logits[0, 1], [act, x] if wrt_x else [act]))
         assert grads[1][1] is not None
         assert grads[0][0].tobytes() == grads[1][0].tobytes()
+        # the map records from the stage's input on: nothing before it is on
+        # the tape, and holding recording on throughout changes no bit
+        done = _spy_calls(monkeypatch, "return")
+        heat = H.gradcam_map(model, _img(9), stage=stage, target_class=1)
+        feeder = model.stem_pool if stage == 2 else getattr(model, f"stage{stage - 1}")
+        mods = [m for m, _ in done]
+        cut = mods.index(feeder) + 1
+        assert not any(out.requires_grad for _, out in done[:cut])
+        assert done[mods.index(getattr(model, f"stage{stage}"))][1].requires_grad
+        done.clear()
+        monkeypatch.setattr(T, "set_grad_enabled", lambda flag: True)
+        full = H.gradcam_map(model, _img(9), stage=stage, target_class=1)
+        assert done[0][0] is model.stem_conv and done[0][1].requires_grad
+        assert heat.tobytes() == full.tobytes()
 
     def test_predicted_class_default(self):
         model = _cbam_model(seed=5)
@@ -174,6 +239,38 @@ class TestGradcamMap:
         pred = int(logits.data[0].argmax())
         assert np.array_equal(H.gradcam_map(model, img, stage=5),
                               H.gradcam_map(model, img, stage=5, target_class=pred))
+
+
+class TestRecordingState:
+    @pytest.mark.parametrize("method", H.METHODS)
+    def test_recording_restored_on_every_exit(self, method, monkeypatch):
+        model = _cbam_model(seed=9)
+        img = _img(15)
+        run = ((lambda im: H.spatial_gate_map(model, im)) if method == "spatial-gate"
+               else (lambda im: H.gradcam_map(model, im, stage=2)))
+        heat = run(img)
+        assert _records()
+        if method == "spatial-gate":
+            with T.no_grad():
+                assert np.array_equal(run(img), heat)
+                assert not _records()
+            assert _records()
+        with pytest.raises(ValueError, match="input spatial size"):
+            run(_img(15, size=16))
+        assert _records()
+
+        # a layer that fails after a Grad-CAM forward switched recording on
+        def failing(x):
+            raise RuntimeError("layer failed")
+
+        monkeypatch.setattr(model.stage5.items[0].conv1, "forward", failing)
+        with pytest.raises(RuntimeError, match="layer failed"):
+            run(img)
+        assert _records()
+        with T.no_grad():
+            with pytest.raises(RuntimeError, match="layer failed"):
+                run(img)
+            assert not _records()
 
 
 class TestOverlay:

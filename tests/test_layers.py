@@ -68,6 +68,28 @@ class TestWatch:
         assert outer == [mod]
 
 
+class TestModuleMode:
+    def test_train_and_eval_reach_every_module_including_list_items(self):
+        model = M.build_model(M.ModelConfig.make(
+            "enhanced", stage_blocks=(2, 1, 1, 1), base_width=8, input_size=(32, 32),
+            reduction_ratio=4, spatial_kernel=3, fusion_width=16), seed=0)
+        named = list(model.modules())
+        mods = [m for _, m in named]
+        # list children: the stage blocks and the fusion laterals
+        assert {"stage2.items.0", "stage2.items.1", "fusion.laterals.2"} <= {n for n, _ in named}
+        assert model.stage2.items[1].cbam.spatial in mods
+        for mode, expected in ((model.eval, False), (model.train, True), (model.eval, False)):
+            assert mode() is model
+            assert [m.training for m in mods] == [expected] * len(mods)
+        # setting the mode leaves the preorder walk and its names as they were
+        assert list(model.modules()) == named
+
+    def test_mode_of_a_submodule_leaves_its_parent(self):
+        block = M.Bottleneck(8, 2, 1, T.make_rng(0))
+        block.bn1.eval()
+        assert block.training and not block.bn1.training and block.bn2.training
+
+
 class TestConv2d:
     def test_1x1_identity_kernel(self):
         x = T.Tensor(np.arange(1, 10).reshape(1, 1, 3, 3))
