@@ -1,11 +1,11 @@
 """Dataset ingestion and the image preprocessing chain.
 
-Images are binary PPM (P6) decoded to [3,H,W] float arrays in [0,1].
-Splits, class exclusion and augmentation are pure functions of their inputs
-and seeds; a directory tree ``root/<class_name>/*.ppm`` maps to class
-indices by sorted directory name. Augmentation (flips read as a view, then
-one bilinear warp per image) is bitwise equal to the per-tap reference in
-``tests/oracles.py``.
+Images are binary PPM (P6) decoded in one pass to [3,H,W] float32 arrays in
+[0,1]. Splits, class exclusion and augmentation are pure functions of their
+inputs and seeds; a directory tree ``root/<class_name>/*.ppm`` maps to class
+indices by sorted directory name. Resizing (per axis: two gathers, one lerp
+in place) and augmentation (flips read as a view, then one bilinear warp per
+image) are bitwise equal to the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .tensor import make_rng
 # ---- PPM codec --------------------------------------------------------------
 
 
-def decode_ppm(data):
-    """Binary P6 with maxval 255; ``#`` comments allowed in the header."""
+def _ppm_pixels(data):
+    """[H,W,3] u8 view of binary P6 bytes (maxval 255, ``#`` header comments)."""
     if not data.startswith(b"P6"):
         raise ValueError(f"not a binary PPM: magic {data[:2]!r}")
     pos = 2
@@ -51,11 +51,15 @@ def decode_ppm(data):
     if maxval != 255:
         raise ValueError(f"unsupported PPM maxval {maxval}")
     need = width * height * 3
-    payload = data[pos : pos + need]
+    payload = memoryview(data)[pos : pos + need]
     if len(payload) != need:
         raise ValueError(f"truncated PPM payload: {len(payload)} of {need} bytes")
-    img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return (img.transpose(2, 0, 1).astype(np.float32)) / 255.0
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+
+
+def decode_ppm(data):
+    """Binary P6 bytes to a [3,H,W] float32 image in [0,1]."""
+    return np.divide(_ppm_pixels(data).transpose(2, 0, 1), np.float32(255), dtype=np.float32)
 
 
 def encode_ppm(img):
@@ -115,7 +119,8 @@ def scan_directory(root, lenient=False):
     """Deterministic scan of ``root/<class_name>/*.ppm``.
 
     Class indices follow sorted directory names; samples follow sorted file
-    names. Unreadable files raise, unless ``lenient`` records and skips them.
+    names. Files ``decode_ppm`` refuses (by header and payload length) raise,
+    unless ``lenient`` records and skips them.
     Returns (dataset, list of skipped (path, reason) pairs).
     """
     if not os.path.isdir(root):
@@ -135,7 +140,7 @@ def scan_directory(root, lenient=False):
             path = os.path.join(cdir, fname)
             try:
                 with open(path, "rb") as fh:
-                    decode_ppm(fh.read())
+                    _ppm_pixels(fh.read())
             except (OSError, ValueError) as exc:
                 if not lenient:
                     raise ValueError(f"{path}: {exc}") from exc
@@ -148,42 +153,49 @@ def scan_directory(root, lenient=False):
 # ---- geometry ---------------------------------------------------------------
 
 
-def _resample_axis(img, axis, target):
-    """Half-pixel-center bilinear resample of one spatial axis, edge clamped."""
-    src = img.shape[axis]
-    if src == target:
-        return img
-    scale = src / target
-    coords = (np.arange(target) + 0.5) * scale - 0.5
-    lo = np.floor(coords).astype(np.int64)
-    frac = (coords - lo).astype(img.dtype)
-    lo_c = np.clip(lo, 0, src - 1)
-    hi_c = np.clip(lo + 1, 0, src - 1)
-    a = np.take(img, lo_c, axis=axis)
-    b = np.take(img, hi_c, axis=axis)
-    shape = [1] * img.ndim
-    shape[axis] = target
-    frac = frac.reshape(shape)
-    return a * (1 - frac) + b * frac
+def _taps(src, target, dtype):
+    """Half-pixel-center bilinear taps of one axis, edge clamped: the source
+    indices (lo, hi) and their weights (1 - f, f)."""
+    coords = (np.arange(target) + 0.5) * (src / target) - 0.5
+    lo = np.floor(coords)
+    f = (coords - lo).astype(dtype)
+    lo = lo.astype(np.intp)  # in [-1, src - 1], so lo + 1 is in [0, src]
+    return np.maximum(lo, 0), np.minimum(lo + 1, src - 1), 1 - f, f
+
+
+def _lerp(a, b, g, f):
+    """a * g + b * f, in place on the gathered ``a`` and ``b``."""
+    return np.add(np.multiply(a, g, out=a), np.multiply(b, f, out=b), out=a)
 
 
 def resize_bilinear(img, target):
-    """Resize [C,H,W] to [C,target_h,target_w]."""
+    """Resize [C,H,W] (any view) to float32 [C,target_h,target_w]: rows, then
+    columns, each ``a * (1 - f) + b * f`` in the input's dtype; an axis at its
+    target is skipped. Rows gather by ``take``, columns by a last-axis index."""
     th, tw = (int(t) for t in target)
     if th < 1 or tw < 1:
         raise ValueError(f"bad resize target {target}")
-    out = _resample_axis(img, 1, th)
-    out = _resample_axis(out, 2, tw)
+    _, h, w = img.shape
+    out = img
+    if h != th:
+        lo, hi, g, f = _taps(h, th, img.dtype)
+        out = _lerp(img.take(lo, axis=1), img.take(hi, axis=1), g[:, None], f[:, None])
+    if w != tw:
+        if (w, tw) != (h, th):
+            lo, hi, g, f = _taps(w, tw, img.dtype)
+        out = _lerp(out[:, :, lo], out[:, :, hi], g, f)
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
 def normalize(img, mean, std):
-    """(v - mean_c) / std_c per channel."""
+    """(v - mean_c) / std_c per channel: one new array, divided in place."""
     mean = np.asarray(mean, dtype=np.float32).reshape(3, 1, 1)
     std = np.asarray(std, dtype=np.float32).reshape(3, 1, 1)
     if np.any(std <= 0):
         raise ValueError("std must be positive per channel")
-    return (img - mean) / std
+    out = img - mean
+    out /= std
+    return out
 
 
 def dataset_mean_std(samples):

@@ -72,7 +72,9 @@ def gradcam_map(model, img_norm, stage=5, target_class=None):
         target_class = int(logits.data[0].argmax())
     if not 0 <= target_class < logits.shape[1]:
         raise ValueError(f"class {target_class} out of range")
-    (act_grad,) = T.grad(logits[0, target_class], [act])
+    with T.no_grad():  # restores the caller's setting on exit
+        T.set_grad_enabled(True)  # the score is recorded even under no_grad
+        (act_grad,) = T.grad(logits[0, target_class], [act])
     grads = act_grad[0]          # [C,h,w]
     acts = act.data[0]
     weights = grads.mean(axis=(1, 2))

@@ -348,6 +348,36 @@ def naive_augment(img, rng, max_rotation_deg=10.0, hflip=True, vflip=True):
     return naive_rotate_bilinear(np.ascontiguousarray(img), angle)
 
 
+def _naive_resample_axis(img, axis, target):
+    """Half-pixel-center bilinear resample of one spatial axis, edge clamped."""
+    src = img.shape[axis]
+    if src == target:
+        return img
+    scale = src / target
+    coords = (np.arange(target) + 0.5) * scale - 0.5
+    lo = np.floor(coords).astype(np.int64)
+    frac = (coords - lo).astype(img.dtype)
+    lo_c = np.clip(lo, 0, src - 1)
+    hi_c = np.clip(lo + 1, 0, src - 1)
+    a = np.take(img, lo_c, axis=axis)
+    b = np.take(img, hi_c, axis=axis)
+    shape = [1] * img.ndim
+    shape[axis] = target
+    frac = frac.reshape(shape)
+    return a * (1 - frac) + b * frac
+
+
+def naive_resize_bilinear(img, target):
+    """The original resize: each axis resampled by clipped ``take``s and a
+    broadcast lerp into fresh arrays, rows first; the result made float32."""
+    th, tw = (int(t) for t in target)
+    if th < 1 or tw < 1:
+        raise ValueError(f"bad resize target {target}")
+    out = _naive_resample_axis(img, 1, th)
+    out = _naive_resample_axis(out, 2, tw)
+    return np.ascontiguousarray(out, dtype=np.float32)
+
+
 def _group_positions(shape, axes, kept):
     """Indices of the group ``kept`` (an index with 0 on ``axes``) of an
     array of ``shape`` reduced over ``axes``, in row-major order."""

@@ -1,11 +1,13 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_augment, naive_rotate_bilinear
+from oracles import naive_augment, naive_resize_bilinear, naive_rotate_bilinear
 from shipnet import data as D
 
 
@@ -52,6 +54,12 @@ class TestPpmCodec:
     def test_wrong_maxval(self):
         with pytest.raises(ValueError):
             D.decode_ppm(b"P6 2 2 65535\n" + bytes(24))
+
+    def test_every_byte_value_decodes_to_its_float32_quotient(self):
+        u8 = np.arange(256 * 3, dtype=np.uint16).astype(np.uint8).reshape(1, 256, 3)
+        img = D.decode_ppm(b"P6 256 1 255\n" + u8.tobytes())
+        ref = u8.transpose(2, 0, 1).astype(np.float32) / 255.0
+        assert _same_bits(img, ref)
 
 
 class TestScanDirectory:
@@ -125,6 +133,39 @@ class TestResize:
         assert np.allclose(row, [0.0, 0.25, 0.75, 1.0], atol=1e-6)
 
 
+class TestResizeOracle:
+    """The shared-tap, in-place resize reproduces the per-axis oracle bit for
+    bit: rows first, then columns, ``a * (1 - f) + b * f`` in the input dtype."""
+
+    @given(c=st.integers(1, 3), h=st.integers(1, 40), w=st.integers(1, 40),
+           th=st.integers(1, 80), tw=st.integers(1, 80), square=st.booleans(),
+           hflip=st.booleans(), vflip=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, c, h, w, th, tw, square, hflip, vflip, dtype, seed):
+        if square:  # equal source and target extents on both axes
+            w, tw = h, th
+        img = np.random.default_rng(seed).standard_normal((c, h, w)).astype(dtype)
+        view = img[:, ::-1 if vflip else 1, ::-1 if hflip else 1]
+        out = D.resize_bilinear(view, (th, tw))
+        assert _same_bits(out, naive_resize_bilinear(view, (th, tw)))
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape,target", [((3, 96, 96), (64, 64)),
+                                              ((3, 300, 200), (224, 224)),
+                                              ((1, 7, 7), (80, 80)), ((3, 40, 1), (1, 80))])
+    def test_matches_oracle_on_decoded_images(self, shape, target):
+        img = D.decode_ppm(D.encode_ppm(_img(3, *shape[1:])))[: shape[0]]
+        assert _same_bits(D.resize_bilinear(img, target), naive_resize_bilinear(img, target))
+
+    def test_input_left_unchanged(self):
+        img = _img(5, 9, 13)
+        before = img.copy()
+        D.resize_bilinear(img, (9, 20))
+        D.resize_bilinear(img, (4, 13))
+        assert np.array_equal(img, before)
+
+
 class TestNormalize:
     def test_identity(self):
         img = _img(2)
@@ -138,6 +179,15 @@ class TestNormalize:
     def test_zero_std_rejected(self):
         with pytest.raises(ValueError):
             D.normalize(_img(0), (0, 0, 0), (1, 0, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_subtract_then_divide(self, dtype):
+        img = np.random.default_rng(3).standard_normal((3, 17, 11)).astype(dtype)
+        mean, std = (0.485, 0.456, 0.406), (0.229, 0.224, 0.225)
+        ref = (img - np.float32(mean).reshape(3, 1, 1)) / np.float32(std).reshape(3, 1, 1)
+        before = img.copy()
+        assert _same_bits(D.normalize(img, mean, std), ref)
+        assert np.array_equal(img, before)
 
 
 class TestAugment:
@@ -212,15 +262,37 @@ PPM = D.encode_ppm(_img(9, h=3, w=5))
 
 
 def _decode_or_value_error(raw):
+    raw = bytes(raw)
+    reason = None
     try:
-        img = D.decode_ppm(bytes(raw))
-    except ValueError:
-        return
-    assert img.dtype == np.float32 and img.ndim == 3 and img.shape[0] == 3
+        img = D.decode_ppm(raw)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        assert img.dtype == np.float32 and img.ndim == 3 and img.shape[0] == 3
+    # the scan accepts, skips and rejects exactly what the decoder does
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "a").mkdir()
+        path = str(Path(root) / "a" / "x.ppm")
+        Path(path).write_bytes(raw)
+        ds, skipped = D.scan_directory(root, lenient=True)
+        if reason is None:
+            assert [s.path for s in ds.samples] == [path] and not skipped
+            assert len(D.scan_directory(root)[0]) == 1
+        else:
+            assert not ds.samples and skipped == [(path, reason)]
+            with pytest.raises(ValueError) as err:
+                D.scan_directory(root)
+            assert str(err.value) == f"{path}: {reason}"
 
 
 class TestPpmDecoderFuzz:
-    """Mutated PPM bytes either decode or raise ValueError, nothing else."""
+    """Mutated PPM bytes either decode or raise ValueError, nothing else, and
+    the directory scan accepts or refuses them exactly as the decoder does."""
+
+    @pytest.mark.parametrize("extra", [b"", b"\n", bytes(7), b"P6 1 1 255\n\0\0\0"])
+    def test_trailing_bytes(self, extra):
+        _decode_or_value_error(PPM + extra)
 
     @given(st.integers(0, len(PPM) - 1))
     @settings(max_examples=40, deadline=None)

@@ -250,11 +250,10 @@ class TestRecordingState:
                else (lambda im: H.gradcam_map(model, im, stage=2)))
         heat = run(img)
         assert _records()
-        if method == "spatial-gate":
-            with T.no_grad():
-                assert np.array_equal(run(img), heat)
-                assert not _records()
-            assert _records()
+        with T.no_grad():
+            assert run(img).tobytes() == heat.tobytes()
+            assert not _records()
+        assert _records()
         with pytest.raises(ValueError, match="input spatial size"):
             run(_img(15, size=16))
         assert _records()
